@@ -26,9 +26,8 @@ RendezvousService::RendezvousService(EndpointService& endpoint,
           endpoint.metrics().counter("jxta.rdv.duplicates_suppressed")),
       decode_errors_(endpoint.metrics().counter("jxta.decode_errors")),
       dedup_probe_depth_(
-          endpoint.metrics().counter("jxta.rdv.dedup_probe_depth")) {
-  if (config_.use_dedup_ring) ring_.emplace(config_.seen_cache_size);
-}
+          endpoint.metrics().counter("jxta.rdv.dedup_probe_depth")),
+      seen_(config_.seen_cache_size) {}
 
 RendezvousService::~RendezvousService() { stop(); }
 
@@ -153,33 +152,11 @@ void RendezvousService::propagate(std::string_view service,
 
 bool RendezvousService::seen_before(const util::Uuid& prop_id) {
   const util::MutexLock lock(mu_);
-  if (ring_.has_value()) {
-    std::uint32_t probes = 0;
-    const bool dup = ring_->test_and_set(prop_id, &probes);
-    dedup_probe_depth_.inc(probes);
-    if (dup) {
-      ++duplicates_;
-      duplicates_suppressed_.inc();
-    }
-    return dup;
-  }
-  if (seen_.contains(prop_id)) {
-    ++duplicates_;
-    duplicates_suppressed_.inc();
-    return true;
-  }
-  seen_.insert(prop_id);
-  seen_order_.push_back(prop_id);
-  if (seen_order_.size() > config_.seen_cache_size) {
-    seen_.erase(seen_order_.front());
-    seen_order_.pop_front();
-  }
-  return false;
-}
-
-std::uint64_t RendezvousService::duplicates_suppressed() const {
-  const util::MutexLock lock(mu_);
-  return duplicates_;
+  std::uint32_t probes = 0;
+  const bool dup = seen_.test_and_set(prop_id, &probes);
+  dedup_probe_depth_.inc(probes);
+  if (dup) duplicates_suppressed_.inc();
+  return dup;
 }
 
 void RendezvousService::forward_propagation(

@@ -13,9 +13,7 @@
 // local segment is used in addition, so rdv-less LANs still work.
 #pragma once
 
-#include <deque>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -38,10 +36,6 @@ struct RendezvousConfig {
   std::uint32_t propagate_ttl = 7;
   // Loop-suppression memory (number of remembered propagation ids).
   std::size_t seen_cache_size = 4096;
-  // Back the loop-suppression memory with the O(1) open-addressed ring
-  // (util/dedup_ring.h). Off: the legacy set + FIFO deque (same semantics,
-  // node allocation + double hash per insert) — kept for ablation.
-  bool use_dedup_ring = true;
 };
 
 class RendezvousService {
@@ -90,9 +84,6 @@ class RendezvousService {
   void propagate(std::string_view service, util::Bytes payload)
       EXCLUDES(mu_);
 
-  // Number of propagated messages suppressed as duplicates (observability).
-  [[nodiscard]] std::uint64_t duplicates_suppressed() const EXCLUDES(mu_);
-
  private:
   // Wire envelope kinds on the "jxta.rdv" listener.
   enum class Kind : std::uint8_t {
@@ -133,7 +124,7 @@ class RendezvousService {
   obs::Counter duplicates_suppressed_;
   // Malformed rendezvous frames rejected at decode (trust boundary).
   obs::Counter decode_errors_;
-  // Cumulative table slots probed by seen_before (ring path). The ratio to
+  // Cumulative table slots probed by seen_before. The ratio to
   // propagations seen is the effective probe depth — healthy is ~1.5.
   obs::Counter dedup_probe_depth_;
 
@@ -146,12 +137,8 @@ class RendezvousService {
   std::unordered_map<PeerId, util::TimePoint> lessors_ GUARDED_BY(mu_);
   // Rdv mesh: other rendezvous peers we know of.
   std::unordered_set<PeerId> peer_rendezvous_ GUARDED_BY(mu_);
-  // Loop suppression: the ring when config_.use_dedup_ring (hot path),
-  // else the legacy set + FIFO deque.
-  std::optional<util::DedupRing> ring_ GUARDED_BY(mu_);
-  std::unordered_set<util::Uuid> seen_ GUARDED_BY(mu_);
-  std::deque<util::Uuid> seen_order_ GUARDED_BY(mu_);  // FIFO eviction
-  std::uint64_t duplicates_ GUARDED_BY(mu_) = 0;
+  // Loop suppression: the last seen_cache_size propagation ids.
+  util::DedupRing seen_ GUARDED_BY(mu_);
 };
 
 }  // namespace p2p::jxta

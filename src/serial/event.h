@@ -25,7 +25,7 @@ class Event {
 
   // For statically-typed events (the normal case) the registry identifies
   // the type via RTTI and this returns empty. Dynamically-typed events
-  // (serial/../tps/xml_event.h — the paper's "representing types through
+  // (tps/event.h's DynamicEvent — the paper's "representing types through
   // XML data structures" future work) override it to carry their TPS type
   // name at runtime, since many logical types share one C++ class.
   [[nodiscard]] virtual std::string_view tps_type_name() const { return {}; }

@@ -1,5 +1,5 @@
-// Dynamically-typed events: the paper's "loose coupling" future work,
-// promoted out of xml_event.h into a codec-neutral surface.
+// Dynamically-typed events: the paper's "loose coupling" future work, as a
+// codec-neutral surface.
 //
 // "Another loss of flexibility is our assumption that the different peers
 // must a priori agree on the Java type system ... Figuring out 'loose' ways

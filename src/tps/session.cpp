@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <typeindex>
 
 #include "obs/flight.h"
@@ -69,6 +70,16 @@ PublishTicket make_rejection(PublishOutcome outcome, std::string why) {
   ticket.error = std::move(why);
   return ticket;
 }
+
+// The registry cell of one TpsSession::Stat slot, by name and kind. Spelled
+// as counter("...") / gauge("...") calls so the metrics-manifest lint
+// (tools/lint.py) checks every name against src/obs/instruments.h.
+struct CellName {
+  std::string_view name;
+  bool gauge = false;
+};
+constexpr CellName counter(std::string_view name) { return {name, false}; }
+constexpr CellName gauge(std::string_view name) { return {name, true}; }
 
 }  // namespace
 
@@ -141,11 +152,6 @@ TpsConfig::Builder& TpsConfig::Builder::no_delivery_pool() {
   return *this;
 }
 
-TpsConfig::Builder& TpsConfig::Builder::no_dedup_ring() {
-  config_.dedup_ring = false;
-  return *this;
-}
-
 TpsConfig::Builder& TpsConfig::Builder::no_tracing() {
   config_.tracing = false;
   return *this;
@@ -162,14 +168,6 @@ TpsConfig::Builder& TpsConfig::Builder::decode_limits(
   config_.decode_max_event_bytes = limits.max_length;
   config_.decode_max_xml_depth = limits.max_depth;
   return *this;
-}
-
-TpsConfig::Builder& TpsConfig::Builder::decode_limits(
-    std::size_t max_batch_events, std::size_t max_event_bytes,
-    std::size_t max_xml_depth) {
-  return decode_limits(util::DecodeLimits{.max_length = max_event_bytes,
-                                          .max_count = max_batch_events,
-                                          .max_depth = max_xml_depth});
 }
 
 TpsConfig TpsConfig::Builder::build() const {
@@ -231,38 +229,56 @@ TpsSession::TpsSession(jxta::Peer& peer, std::string type_name,
       registry_(registry),
       preferred_codec_(resolve_codec(config.codec)),
       creator_(peer),
-      m_published_(peer.metrics().counter("tps.published")),
-      m_wire_sends_(peer.metrics().counter("tps.wire_sends")),
-      m_received_unique_(peer.metrics().counter("tps.received_unique")),
-      m_duplicates_suppressed_(
-          peer.metrics().counter("tps.duplicates_suppressed")),
-      m_decode_failures_(peer.metrics().counter("tps.decode_failures")),
-      m_codec_fallbacks_(peer.metrics().counter("tps.codec_fallbacks")),
-      m_callback_errors_(peer.metrics().counter("tps.callback_errors")),
-      m_subscribes_(peer.metrics().counter("tps.subscribes")),
-      m_advs_created_(peer.metrics().counter("tps.advs_created")),
-      m_advs_adopted_(peer.metrics().counter("tps.advs_adopted")),
-      m_batches_sent_(peer.metrics().counter("tps.batches_sent")),
-      m_encode_cache_hits_(peer.metrics().counter("tps.encode_cache_hits")),
-      m_publish_drops_(peer.metrics().counter("tps.publish_drops")),
-      m_send_queue_depth_(peer.metrics().gauge("tps.send_queue_depth")),
-      m_send_queue_hwm_(peer.metrics().gauge("tps.send_queue_hwm")),
-      m_deliveries_inline_(peer.metrics().counter("tps.deliveries_inline")),
-      m_deliveries_pooled_(peer.metrics().counter("tps.deliveries_pooled")),
-      m_delivery_drops_(peer.metrics().counter("tps.delivery_drops")),
-      m_delivery_queue_depth_(
-          peer.metrics().gauge("tps.delivery_queue_depth")),
-      m_delivery_queue_hwm_(peer.metrics().gauge("tps.delivery_queue_hwm")),
-      m_dedup_probes_(peer.metrics().counter("tps.dedup_probe_depth")),
+      cells_(bind_cells(peer.metrics())),
       publish_latency_us_(
           peer.metrics().histogram("tps.publish_latency_us")),
       callback_latency_us_(
           peer.metrics().histogram("tps.callback_latency_us")),
-      encode_cache_(config.encode_cache_size, m_encode_cache_hits_) {
-  if (config_.dedup_ring && config_.dedup_cache_size > 0) {
-    seen_ring_.emplace(config_.dedup_cache_size);
-  }
+      encode_cache_(config.encode_cache_size, cells_[kEncodeCacheHits].counter),
+      seen_(config.dedup_cache_size) {
   subscribers_snapshot_ = std::make_shared<const std::vector<Subscriber>>();
+}
+
+std::array<TpsSession::Cell, TpsSession::kStatCount> TpsSession::bind_cells(
+    obs::Registry& registry) {
+  // Every registry cell of a session, once, with the slot it mirrors.
+  static constexpr std::pair<Stat, CellName> kCells[] = {
+      {kPublished, counter("tps.published")},
+      {kWireSends, counter("tps.wire_sends")},
+      {kReceivedUnique, counter("tps.received_unique")},
+      {kDuplicatesSuppressed, counter("tps.duplicates_suppressed")},
+      {kDecodeFailures, counter("tps.decode_failures")},
+      {kCallbackErrors, counter("tps.callback_errors")},
+      {kCodecFallbacks, counter("tps.codec_fallbacks")},
+      {kBatchesSent, counter("tps.batches_sent")},
+      {kPublishDrops, counter("tps.publish_drops")},
+      {kSendQueueHwm, gauge("tps.send_queue_hwm")},
+      {kDeliveriesInline, counter("tps.deliveries_inline")},
+      {kDeliveriesPooled, counter("tps.deliveries_pooled")},
+      {kDedupProbes, counter("tps.dedup_probe_depth")},
+      {kSubscribes, counter("tps.subscribes")},
+      {kAdvsCreated, counter("tps.advs_created")},
+      {kAdvsAdopted, counter("tps.advs_adopted")},
+      {kSendQueueDepth, gauge("tps.send_queue_depth")},
+      {kEncodeCacheHits, counter("tps.encode_cache_hits")},
+      {kDeliveryDrops, counter("tps.delivery_drops")},
+      {kDeliveryQueueDepth, gauge("tps.delivery_queue_depth")},
+      {kDeliveryQueueHwm, gauge("tps.delivery_queue_hwm")},
+  };
+  std::array<Cell, kStatCount> cells;
+  for (const auto& [slot, cell] : kCells) {
+    if (cell.gauge) {
+      cells[slot].gauge = registry.gauge(std::string(cell.name));
+    } else {
+      cells[slot].counter = registry.counter(std::string(cell.name));
+    }
+  }
+  return cells;
+}
+
+void TpsSession::add(Stat stat, std::uint64_t n) {
+  counts_[stat].fetch_add(n, std::memory_order_relaxed);
+  cells_[stat].counter.inc(n);
 }
 
 TpsSession::~TpsSession() { shutdown(); }
@@ -279,7 +295,8 @@ void TpsSession::init() {
   if (config_.delivery_workers > 0 && !executor_) {
     executor_ = std::make_unique<DeliveryExecutor>(
         config_.delivery_workers, config_.delivery_queue_capacity,
-        m_delivery_drops_, m_delivery_queue_depth_, m_delivery_queue_hwm_);
+        cells_[kDeliveryDrops].counter, cells_[kDeliveryQueueDepth].gauge,
+        cells_[kDeliveryQueueHwm].gauge);
     // Starvation probe: the peer's watchdog (when enabled) samples the age
     // of our oldest queued callback each period. unwatch() in shutdown()
     // precedes executor teardown, so the probe never outlives the pool.
@@ -395,7 +412,7 @@ TpsSession::Channel& TpsSession::channel(const std::string& type,
       const PeerGroupAdvertisement own =
           creator_.create_type_advertisement(type, capability_list(config_));
       creator_.publish_advertisement(own, config_.adv_lifetime_ms);
-      m_advs_created_.inc();
+      add(kAdvsCreated);
       adopt_advertisement(type, own, /*own=*/true);
       lock.lock();
       // The finder can discover the advertisement the moment it is
@@ -483,16 +500,15 @@ void TpsSession::adopt_advertisement(const std::string& type,
     const auto it = channels_.find(type);
     if (it == channels_.end()) return;
     it->second.bindings.push_back(std::move(binding));
-    if (fell_back) ++stats_.codec_fallbacks;
+    if (fell_back) add(kCodecFallbacks);
   }
   if (fell_back) {
-    m_codec_fallbacks_.inc();
     P2P_LOG(kInfo, "tps") << peer_.name() << ": advertisement "
                           << adv.gid.to_string() << " does not list codec '"
                           << preferred_codec_.name()
                           << "'; falling back for this binding";
   }
-  m_advs_adopted_.inc();
+  add(kAdvsAdopted);
   cv_.notify_all();
 }
 
@@ -511,9 +527,9 @@ PublishTicket TpsSession::publish(serial::EventPtr event) {
   // Statically-typed events are identified by RTTI; dynamically-typed
   // (XML) events carry their type name themselves.
   const std::string_view dynamic_name = event->tps_type_name();
-  const auto info = dynamic_name.empty()
-                        ? registry_.find(std::type_index(typeid(*event)))
-                        : registry_.find(dynamic_name);
+  auto info = dynamic_name.empty()
+                  ? registry_.find(std::type_index(typeid(*event)))
+                  : registry_.find(dynamic_name);
   if (!info) {
     return make_rejection(
         PublishOutcome::kRejectedUnregisteredType,
@@ -532,111 +548,61 @@ PublishTicket TpsSession::publish(serial::EventPtr event) {
   // wire bytes depend on the codec each binding negotiated, and a frame is
   // encoded at most once per codec actually in use.
   const std::int64_t t0 = obs::now_us();
-  const util::Uuid event_id = util::Uuid::generate();
+  PendingPublication publication{util::Uuid::generate(),
+                                 std::move(info->name), event, t0};
 
+  PublishTicket ticket;
   if (!config_.batching) {
-    return publish_sync(event, info->name, chain, event_id, t0);
-  }
-
-  // Async path: hand off to the sender thread through the bounded queue.
-  bool dropped = false;
-  std::size_t depth = 0;
-  {
-    const util::MutexLock lock(send_mu_);
-    if (sender_stop_) {
-      // Lost the race against shutdown(): the queue is already retired.
-      return make_rejection(PublishOutcome::kRejectedNotRunning,
-                            "session is not running");
-    }
-    if (send_queue_.size() >= config_.send_queue_capacity) {
-      dropped = true;
-    } else {
-      send_queue_.push_back(
-          PendingPublication{event_id, info->name, event, t0});
-      depth = send_queue_.size();
-      if (depth > queue_hwm_) {
-        queue_hwm_ = depth;
-        m_send_queue_hwm_.set(static_cast<std::int64_t>(depth));
+    // Synchronous: send the lone frame the sender thread would build.
+    const std::uint64_t sends = send_group({&publication, 1}, chain);
+    ticket.outcome =
+        sends > 0 ? PublishOutcome::kSent : PublishOutcome::kNoBinding;
+    ticket.wire_sends = sends;
+    if (sends == 0) ticket.error = "no advertisement bound for '" +
+                                   publication.type_name +
+                                   "'; nothing transmitted";
+  } else {
+    // Async: hand off to the sender thread through the bounded queue.
+    std::size_t depth = 0;
+    {
+      const util::MutexLock lock(send_mu_);
+      if (sender_stop_) {
+        // Lost the race against shutdown(): the queue is already retired.
+        return make_rejection(PublishOutcome::kRejectedNotRunning,
+                              "session is not running");
       }
-      m_send_queue_depth_.set(static_cast<std::int64_t>(depth));
-      send_cv_.notify_one();
-    }
-  }
-  {
-    const util::MutexLock lock(mu_);
-    if (dropped) {
-      ++stats_.publish_drops;
-    } else {
-      ++stats_.published;
-      stats_.send_queue_hwm =
-          std::max<std::uint64_t>(stats_.send_queue_hwm, depth);
-      if (config_.record_history) sent_.push_back(std::move(event));
-    }
-  }
-  if (dropped) {
-    m_publish_drops_.inc();
-    obs::flight::record(obs::FlightComponent::kTps, obs::FlightKind::kDrop,
-                        config_.send_queue_capacity);
-    PublishTicket ticket;
-    ticket.outcome = PublishOutcome::kDroppedQueueFull;
-    ticket.error = "send queue full (" +
-                   std::to_string(config_.send_queue_capacity) + " pending)";
-    return ticket;
-  }
-  m_published_.inc();
-  obs::flight::record(obs::FlightComponent::kTps, obs::FlightKind::kEnqueue,
-                      depth);
-  PublishTicket ticket;
-  ticket.outcome = PublishOutcome::kEnqueued;
-  ticket.queue_depth = depth;
-  return ticket;
-}
-
-PublishTicket TpsSession::publish_sync(serial::EventPtr event,
-                                       const std::string& publish_type,
-                                       const std::vector<std::string>& chain,
-                                       const util::Uuid& event_id,
-                                       std::int64_t t0) {
-  // One frame per codec in use across the fan-out, built on first request.
-  // In a single-codec group (the common case) the event is encoded exactly
-  // once, with whichever codec the bindings negotiated.
-  std::array<std::optional<jxta::Message>, kCodecCount> frames;
-  const auto frame_for = [&](const Codec& codec) -> const jxta::Message& {
-    std::optional<jxta::Message>& slot = frames[codec.index()];
-    if (!slot) {
-      const std::shared_ptr<const util::Bytes> payload =
-          encode_cache_.encode(registry_, codec, event);
-      jxta::Message base;
-      base.add_bytes(std::string(event_element_for(codec)), *payload);
-      base.add_bytes(std::string(kEventIdElement), uuid_to_bytes(event_id));
-      base.add_string(std::string(kTypeElement), publish_type);
-      // First trace hop: the publication leaves the TPS engine. dup() keeps
-      // elements, so every wire transmission carries the same trace id.
-      if (config_.tracing) {
-        obs::start_trace(base, peer_.id().to_string(), "publish", t0);
+      if (send_queue_.size() < config_.send_queue_capacity) {
+        send_queue_.push_back(std::move(publication));
+        depth = send_queue_.size();
+        // The high-water slot is only written here, under send_mu_.
+        if (depth > counts_[kSendQueueHwm].load(std::memory_order_relaxed)) {
+          counts_[kSendQueueHwm].store(depth, std::memory_order_relaxed);
+          cells_[kSendQueueHwm].gauge.set(static_cast<std::int64_t>(depth));
+        }
+        cells_[kSendQueueDepth].gauge.set(static_cast<std::int64_t>(depth));
+        send_cv_.notify_one();
       }
-      slot = std::move(base);
     }
-    return *slot;
-  };
-
-  const std::uint64_t sends = fan_out(chain, frame_for);
-
-  m_published_.inc();
-  m_wire_sends_.inc(sends);
-  publish_latency_us_.record(static_cast<double>(obs::now_us() - t0));
-  {
-    const util::MutexLock lock(mu_);
-    ++stats_.published;
-    stats_.wire_sends += sends;
-    if (config_.record_history) sent_.push_back(std::move(event));
+    if (depth == 0) {  // the queue was full
+      add(kPublishDrops);
+      obs::flight::record(obs::FlightComponent::kTps, obs::FlightKind::kDrop,
+                          config_.send_queue_capacity);
+      ticket.outcome = PublishOutcome::kDroppedQueueFull;
+      ticket.error = "send queue full (" +
+                     std::to_string(config_.send_queue_capacity) +
+                     " pending)";
+      return ticket;
+    }
+    obs::flight::record(obs::FlightComponent::kTps, obs::FlightKind::kEnqueue,
+                        depth);
+    ticket.outcome = PublishOutcome::kEnqueued;
+    ticket.queue_depth = depth;
   }
-  PublishTicket ticket;
-  ticket.outcome =
-      sends > 0 ? PublishOutcome::kSent : PublishOutcome::kNoBinding;
-  ticket.wire_sends = sends;
-  if (sends == 0) ticket.error = "no advertisement bound for '" +
-                                 publish_type + "'; nothing transmitted";
+  add(kPublished);
+  if (config_.record_history) {
+    const util::MutexLock lock(mu_);
+    sent_.push_back(std::move(event));
+  }
   return ticket;
 }
 
@@ -696,7 +662,8 @@ void TpsSession::sender_loop() {
         send_queue_.pop_front();
       }
       if (send_queue_.empty()) flush_pending_ = false;
-      m_send_queue_depth_.set(static_cast<std::int64_t>(send_queue_.size()));
+      cells_[kSendQueueDepth].gauge.set(
+          static_cast<std::int64_t>(send_queue_.size()));
       sender_busy_ = true;
     }
     obs::flight::record(obs::FlightComponent::kTps, obs::FlightKind::kDequeue,
@@ -716,23 +683,27 @@ void TpsSession::send_pending(std::vector<PendingPublication> items) {
   while (i < items.size()) {
     std::size_t j = i + 1;
     while (j < items.size() && items[j].type_name == items[i].type_name) ++j;
-    send_group(std::span<PendingPublication>(items).subspan(i, j - i));
+    const std::string& publish_type = items[i].type_name;
+    std::vector<std::string> chain;
+    try {
+      chain = registry_.ancestry(publish_type);
+    } catch (const std::exception&) {
+      chain = {publish_type};  // validated at publish; registry only grows
+    }
+    obs::flight::record(obs::FlightComponent::kTps,
+                        obs::FlightKind::kBatchFlush, j - i);
+    send_group(std::span<PendingPublication>(items).subspan(i, j - i), chain);
     i = j;
   }
 }
 
-void TpsSession::send_group(std::span<PendingPublication> group) {
+std::uint64_t TpsSession::send_group(std::span<PendingPublication> group,
+                                     const std::vector<std::string>& chain) {
   const std::string& publish_type = group.front().type_name;
-  std::vector<std::string> chain;
-  try {
-    chain = registry_.ancestry(publish_type);
-  } catch (const std::exception&) {
-    chain = {publish_type};  // validated at publish; registry only grows
-  }
-
-  // One frame per codec in use across the fan-out, built on first request
-  // (same lazy shape as publish_sync; the batch layout itself is
-  // codec-agnostic, only the payload bytes and the element name differ).
+  // One frame per codec in use across the fan-out, built on first request.
+  // In a single-codec group (the common case) each event is encoded exactly
+  // once, with whichever codec the bindings negotiated; the batch layout
+  // itself is codec-agnostic, only the payload bytes and element name differ.
   std::array<std::optional<jxta::Message>, kCodecCount> frames;
   const auto frame_for = [&](const Codec& codec) -> const jxta::Message& {
     std::optional<jxta::Message>& slot = frames[codec.index()];
@@ -757,6 +728,8 @@ void TpsSession::send_group(std::span<PendingPublication> group) {
                        encode_batch_frame(frame));
       }
       base.add_string(std::string(kTypeElement), publish_type);
+      // First trace hop: the publication leaves the TPS engine. dup() keeps
+      // elements, so every wire transmission carries the same trace id.
       if (config_.tracing) {
         obs::start_trace(base, peer_.id().to_string(), "publish",
                          group.front().t0_us);
@@ -771,24 +744,20 @@ void TpsSession::send_group(std::span<PendingPublication> group) {
     }
     return *slot;
   };
-  obs::flight::record(obs::FlightComponent::kTps, obs::FlightKind::kBatchFlush,
-                      group.size());
 
   const std::uint64_t frames_sent = fan_out(chain, frame_for);
   // wire_sends keeps its v1 meaning: per-event, per-binding transmissions.
   const std::uint64_t sends = frames_sent * group.size();
-  m_wire_sends_.inc(sends);
-  if (group.size() > 1) m_batches_sent_.inc();
+  add(kWireSends, sends);
+  if (group.size() > 1) {
+    add(kBatchesSent);
+    add(kBatchedEvents, group.size());
+  }
   const std::int64_t now = obs::now_us();
   for (const auto& p : group) {
     publish_latency_us_.record(static_cast<double>(now - p.t0_us));
   }
-  const util::MutexLock lock(mu_);
-  stats_.wire_sends += sends;
-  if (group.size() > 1) {
-    ++stats_.batches_sent;
-    stats_.batched_events += group.size();
-  }
+  return sends;
 }
 
 void TpsSession::flush() {
@@ -811,31 +780,6 @@ std::size_t TpsSession::send_queue_depth() const {
 
 std::size_t TpsSession::delivery_queue_depth() const {
   return executor_ ? executor_->queue_depth() : 0;
-}
-
-bool TpsSession::seen_before(const util::Uuid& event_id) {
-  if (config_.dedup_cache_size == 0) return false;  // suppression disabled
-  if (seen_ring_.has_value()) {
-    std::uint32_t probes = 0;
-    const bool dup = seen_ring_->test_and_set(event_id, &probes);
-    stats_.dedup_probes += probes;
-    m_dedup_probes_.inc(probes);
-    return dup;
-  }
-  if (seen_.contains(event_id)) return true;
-  seen_.insert(event_id);
-  seen_order_.push_back(event_id);
-  if (seen_order_.size() > config_.dedup_cache_size) {
-    seen_.erase(seen_order_.front());
-    seen_order_.pop_front();
-  }
-  return false;
-}
-
-void TpsSession::count_decode_failure() {
-  m_decode_failures_.inc();
-  const util::MutexLock lock(mu_);
-  ++stats_.decode_failures;
 }
 
 void TpsSession::on_event_message(jxta::Message msg) {
@@ -862,7 +806,7 @@ void TpsSession::on_event_message(jxta::Message msg) {
     if (!decoded.ok()) {
       P2P_LOG(kWarn, "tps") << peer_.name() << ": cannot decode batch frame ("
                             << util::to_string(decoded.error) << ")";
-      count_decode_failure();
+      add(kDecodeFailures);
       return;
     }
     bool any_unique = false;
@@ -885,7 +829,7 @@ void TpsSession::on_event_message(jxta::Message msg) {
     std::optional<util::Uuid> event_id;
     if (id_bytes) event_id = uuid_from_bytes(*id_bytes);
     if (!event_id || !event_bytes) {
-      count_decode_failure();
+      add(kDecodeFailures);
       return;
     }
     if (!deliver_event(*event_id,
@@ -906,14 +850,17 @@ void TpsSession::on_event_message(jxta::Message msg) {
 bool TpsSession::deliver_event(const util::Uuid& event_id,
                                std::shared_ptr<const util::Bytes> payload,
                                const Codec& codec) {
+  bool duplicate = false;
+  std::uint32_t probes = 0;
   {
     const util::MutexLock lock(mu_);
     if (shut_down_) return false;
-    if (seen_before(event_id)) {
-      ++stats_.duplicates_suppressed;  // SR functionality (3)
-      m_duplicates_suppressed_.inc();
-      return false;
-    }
+    duplicate = seen_.test_and_set(event_id, &probes);
+  }
+  add(kDedupProbes, probes);
+  if (duplicate) {
+    add(kDuplicatesSuppressed);  // SR functionality (3)
+    return false;
   }
   // Decode exactly once per session; every subscriber receives the same
   // immutable event instance. The payload arrives as a shared_ptr so the
@@ -928,16 +875,15 @@ bool TpsSession::deliver_event(const util::Uuid& event_id,
                           << util::to_string(decoded.error)
                           << (decoded.detail.empty() ? "" : ": ")
                           << decoded.detail << ")";
-    count_decode_failure();
+    add(kDecodeFailures);
     return false;
   }
   {
     const util::MutexLock lock(mu_);
     if (shut_down_) return false;
-    ++stats_.received_unique;
+    add(kReceivedUnique);
     if (config_.record_history) received_.push_back(decoded.event);
   }
-  m_received_unique_.inc();
   // Hot path: copy the current subscriber snapshot under the leaf list_mu_
   // (a refcount bump, not a vector copy), then dispatch without any lock.
   // The shared_ptr keeps the snapshot alive for any pooled dispatch still
@@ -994,18 +940,8 @@ void TpsSession::dispatch_one(const Subscriber& sub,
                       elapsed > 0 ? static_cast<std::uint64_t>(elapsed) : 0);
   callback_latency_us_.record(static_cast<double>(elapsed));
   t_active_gate = prev;
-  if (pooled) {
-    m_deliveries_pooled_.inc();
-    n_deliveries_pooled_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    m_deliveries_inline_.inc();
-    n_deliveries_inline_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!ok) {
-    m_callback_errors_.inc();
-    const util::MutexLock lock(mu_);
-    ++stats_.callback_errors;
-  }
+  add(pooled ? kDeliveriesPooled : kDeliveriesInline);
+  if (!ok) add(kCallbackErrors);
   {
     const util::MutexLock lock(gate->mu);
     --gate->running;
@@ -1034,7 +970,7 @@ std::uint64_t TpsSession::subscribe(Subscriber subscriber) {
   if (!initialized_ || shut_down_) {
     throw PsException("session is not running");
   }
-  m_subscribes_.inc();
+  add(kSubscribes);
   subscriber.id = next_subscriber_id_++;
   subscriber.gate = std::make_shared<SubscriberGate>();
   const std::uint64_t id = subscriber.id;
@@ -1123,25 +1059,29 @@ std::vector<serial::EventPtr> TpsSession::objects_sent() const {
 }
 
 TpsStats TpsSession::stats() const {
+  const auto count = [this](Stat stat) {
+    return counts_[stat].load(std::memory_order_relaxed);
+  };
   TpsStats out;
-  const DeliveryExecutor* executor = nullptr;
-  {
-    const util::MutexLock lock(mu_);
-    out = stats_;
-    executor = executor_.get();
-  }
+  out.published = count(kPublished);
+  out.wire_sends = count(kWireSends);
+  out.received_unique = count(kReceivedUnique);
+  out.duplicates_suppressed = count(kDuplicatesSuppressed);
+  out.decode_failures = count(kDecodeFailures);
+  out.callback_errors = count(kCallbackErrors);
+  out.codec_fallbacks = count(kCodecFallbacks);
+  out.batches_sent = count(kBatchesSent);
+  out.batched_events = count(kBatchedEvents);
   out.encode_cache_hits = encode_cache_.hits();
-  out.deliveries_inline =
-      n_deliveries_inline_.load(std::memory_order_relaxed);
-  out.deliveries_pooled =
-      n_deliveries_pooled_.load(std::memory_order_relaxed);
-  if (executor != nullptr) {
-    // The executor's own count includes drops the session also recorded in
-    // stats_ plus any post-shutdown stragglers; the executor is
-    // authoritative.
-    out.delivery_drops = executor->dropped();
-    out.delivery_queue_hwm = executor->queue_hwm();
+  out.publish_drops = count(kPublishDrops);
+  out.send_queue_hwm = count(kSendQueueHwm);
+  out.deliveries_inline = count(kDeliveriesInline);
+  out.deliveries_pooled = count(kDeliveriesPooled);
+  if (executor_) {
+    out.delivery_drops = executor_->dropped();
+    out.delivery_queue_hwm = executor_->queue_hwm();
   }
+  out.dedup_probes = count(kDedupProbes);
   return out;
 }
 

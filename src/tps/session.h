@@ -34,11 +34,11 @@
 // transport. See DESIGN.md "The delivery pipeline".
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <deque>
 #include <map>
-#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_set>
@@ -103,10 +103,6 @@ struct TpsConfig {
   // deliveries are dropped and counted (delivery_drops) — backpressure
   // never blocks the transport.
   std::size_t delivery_queue_capacity = 1024;
-  // Back duplicate suppression (SR functionality (3)) with the O(1)
-  // open-addressed ring (util/dedup_ring.h) instead of the legacy
-  // set + FIFO deque. Identical semantics; off only for ablation.
-  bool dedup_ring = true;
 
   // --- wire codec (DESIGN.md "The wire codec") ---------------------------
   // Preferred codec for outgoing event payloads: "xml" (default, the
@@ -192,8 +188,6 @@ class TpsConfig::Builder {
   Builder& delivery_pool(std::size_t workers,
                          std::size_t queue_capacity = 1024);
   Builder& no_delivery_pool();
-  // Ablation: fall back to the legacy set+deque duplicate suppression.
-  Builder& no_dedup_ring();
   // Stop stamping trace elements on outgoing publications (see
   // TpsConfig::tracing).
   Builder& no_tracing();
@@ -206,10 +200,6 @@ class TpsConfig::Builder {
   // the single-event payload bytes (in [1, 256 MiB]), max_depth the
   // embedded-XML nesting (in [1, 1024]).
   Builder& decode_limits(const util::DecodeLimits& limits);
-  // Shim for the pre-codec three-argument spelling of the caps above.
-  Builder& decode_limits(std::size_t max_batch_events,
-                         std::size_t max_event_bytes,
-                         std::size_t max_xml_depth = 64);
 
   [[nodiscard]] TpsConfig build() const;
 
@@ -348,10 +338,11 @@ class TpsSession : public std::enable_shared_from_this<TpsSession> {
     std::vector<std::shared_ptr<Binding>> bindings;  // keyed by adv gid
   };
 
-  // One accepted publication waiting in the async send queue. Carries the
-  // event itself, not a payload: which encodings are needed depends on the
-  // codecs the receiving bindings negotiated, so the sender encodes
-  // per codec at frame-build time (the encode cache de-duplicates).
+  // One accepted publication: queued for the sender thread, or held on the
+  // stack by a synchronous publish(). Carries the event itself, not a
+  // payload: which encodings are needed depends on the codecs the receiving
+  // bindings negotiated, so the sender encodes per codec at frame-build time
+  // (the encode cache de-duplicates).
   struct PendingPublication {
     util::Uuid id;
     std::string type_name;
@@ -369,12 +360,6 @@ class TpsSession : public std::enable_shared_from_this<TpsSession> {
   void adopt_advertisement(const std::string& type,
                            const jxta::PeerGroupAdvertisement& adv,
                            bool own = false) EXCLUDES(mu_);
-  // Synchronous transmission (batching off) of one event.
-  PublishTicket publish_sync(serial::EventPtr event,
-                             const std::string& publish_type,
-                             const std::vector<std::string>& chain,
-                             const util::Uuid& event_id, std::int64_t t0)
-      EXCLUDES(mu_, send_mu_);
   // Sends a frame once per binding of every type in `chain` (dup() per
   // transmission). `frame_for` returns the wire message for a binding's
   // negotiated codec — built lazily, so a group whose bindings all speak
@@ -388,7 +373,12 @@ class TpsSession : public std::enable_shared_from_this<TpsSession> {
   void sender_loop() EXCLUDES(mu_, send_mu_);
   void send_pending(std::vector<PendingPublication> items)
       EXCLUDES(mu_, send_mu_);
-  void send_group(std::span<PendingPublication> group)
+  // Sends one frame for `group` (equal published types) on the wires of
+  // `chain`, the type's ancestry: the v1 single-event framing for a lone
+  // publication, a batch frame otherwise. Both publish paths end here.
+  // Returns the per-event transmissions.
+  std::uint64_t send_group(std::span<PendingPublication> group,
+                           const std::vector<std::string>& chain)
       EXCLUDES(mu_, send_mu_);
   void on_event_message(jxta::Message msg) EXCLUDES(mu_);
   // Dedup + decode-once + dispatch of one received event. The payload is
@@ -407,8 +397,45 @@ class TpsSession : public std::enable_shared_from_this<TpsSession> {
   // Re-publishes subscribers_ as a fresh immutable snapshot for the
   // delivery hot path. Called after every mutation.
   void publish_subscriber_list() REQUIRES(mu_) EXCLUDES(list_mu_);
-  void count_decode_failure() EXCLUDES(mu_);
-  bool seen_before(const util::Uuid& event_id) REQUIRES(mu_);
+
+  // The session's instruments, one slot each. Slots before kSendQueueDepth
+  // are counted here and read by stats(); the rest are only registry cells,
+  // for numbers their owner keeps (the send queue's depth, the encode
+  // cache, the delivery pool).
+  enum Stat : std::size_t {
+    kPublished,
+    kWireSends,
+    kReceivedUnique,
+    kDuplicatesSuppressed,
+    kDecodeFailures,
+    kCallbackErrors,
+    kCodecFallbacks,
+    kBatchesSent,
+    kBatchedEvents,  // no registry cell
+    kPublishDrops,
+    kSendQueueHwm,
+    kDeliveriesInline,
+    kDeliveriesPooled,
+    kDedupProbes,
+    kSubscribes,
+    kAdvsCreated,
+    kAdvsAdopted,
+    kSendQueueDepth,
+    kEncodeCacheHits,
+    kDeliveryDrops,
+    kDeliveryQueueDepth,
+    kDeliveryQueueHwm,
+    kStatCount
+  };
+  // A slot's peer-registry cell: a counter or a gauge, as the slot's row
+  // in bind_cells() says; the other handle stays unbound.
+  struct Cell {
+    obs::Counter counter;
+    obs::Gauge gauge;
+  };
+  static std::array<Cell, kStatCount> bind_cells(obs::Registry& registry);
+  // Bumps a counter slot and its registry cell together.
+  void add(Stat stat, std::uint64_t n = 1);
 
   jxta::Peer& peer_;
   const std::string type_name_;
@@ -419,29 +446,12 @@ class TpsSession : public std::enable_shared_from_this<TpsSession> {
   // PsException on a hand-assembled config naming an unknown codec).
   const Codec& preferred_codec_;
   AdvertisementsCreator creator_;
-  // Registry mirrors of TpsStats (plus latency histograms), so TPS traffic
-  // shows up in the peer-wide metrics/PIP story like every other layer.
-  obs::Counter m_published_;
-  obs::Counter m_wire_sends_;
-  obs::Counter m_received_unique_;
-  obs::Counter m_duplicates_suppressed_;
-  obs::Counter m_decode_failures_;
-  obs::Counter m_codec_fallbacks_;
-  obs::Counter m_callback_errors_;
-  obs::Counter m_subscribes_;
-  obs::Counter m_advs_created_;
-  obs::Counter m_advs_adopted_;
-  obs::Counter m_batches_sent_;
-  obs::Counter m_encode_cache_hits_;
-  obs::Counter m_publish_drops_;
-  obs::Gauge m_send_queue_depth_;
-  obs::Gauge m_send_queue_hwm_;
-  obs::Counter m_deliveries_inline_;
-  obs::Counter m_deliveries_pooled_;
-  obs::Counter m_delivery_drops_;
-  obs::Gauge m_delivery_queue_depth_;
-  obs::Gauge m_delivery_queue_hwm_;
-  obs::Counter m_dedup_probes_;
+  // Relaxed atomics, so the hot paths count without mu_ and the count stays
+  // exact when -DP2P_OBS=OFF compiles the registry cells out.
+  std::array<std::atomic<std::uint64_t>, kStatCount> counts_{};
+  // The same slots in the peer registry, so TPS traffic shows up in the
+  // peer-wide metrics like every other layer.
+  const std::array<Cell, kStatCount> cells_;
   obs::Histogram publish_latency_us_;
   obs::Histogram callback_latency_us_;
   EncodeCache encode_cache_;
@@ -468,16 +478,9 @@ class TpsSession : public std::enable_shared_from_this<TpsSession> {
       GUARDED_BY(list_mu_);
   std::vector<serial::EventPtr> received_ GUARDED_BY(mu_);
   std::vector<serial::EventPtr> sent_ GUARDED_BY(mu_);
-  // Duplicate suppression: the ring when config_.dedup_ring (hot path),
-  // else the legacy set + FIFO deque.
-  std::optional<util::DedupRing> seen_ring_ GUARDED_BY(mu_);
-  std::unordered_set<util::Uuid> seen_ GUARDED_BY(mu_);
-  std::deque<util::Uuid> seen_order_ GUARDED_BY(mu_);
-  TpsStats stats_ GUARDED_BY(mu_);
-  // Callbacks run so far, by path. Atomics (not stats_ fields) so the
-  // inline hot path does not take mu_ per callback.
-  std::atomic<std::uint64_t> n_deliveries_inline_{0};
-  std::atomic<std::uint64_t> n_deliveries_pooled_{0};
+  // Duplicate suppression (SR functionality (3)): the last
+  // dedup_cache_size event ids. Capacity 0 suppresses nothing.
+  util::DedupRing seen_ GUARDED_BY(mu_);
   // Delivery pool (tps/dispatch.h). Created by init() *before* any input
   // pipe exists and torn down by shutdown() *after* every pipe is closed,
   // so listener threads read the pointer without synchronization.
@@ -497,7 +500,6 @@ class TpsSession : public std::enable_shared_from_this<TpsSession> {
   bool sender_stop_ GUARDED_BY(send_mu_) = false;
   bool sender_busy_ GUARDED_BY(send_mu_) = false;
   bool flush_pending_ GUARDED_BY(send_mu_) = false;
-  std::size_t queue_hwm_ GUARDED_BY(send_mu_) = 0;
   std::thread sender_;  // started by init() when config_.batching
 };
 

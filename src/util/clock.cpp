@@ -3,8 +3,10 @@
 namespace p2p::util {
 
 SystemClock& SystemClock::instance() {
-  static SystemClock clock;
-  return clock;
+  // Leaked like TimerQueue::shared(), whose waiter thread outlives main and
+  // still reads this clock while static destructors run.
+  static auto* clock = new SystemClock;
+  return *clock;
 }
 
 }  // namespace p2p::util

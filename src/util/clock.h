@@ -83,8 +83,4 @@ class SimClock final : public Clock {
   std::atomic<std::int64_t> now_ns_{1'000'000};
 };
 
-// The historical name for the manual test clock; SimClock subsumed it when
-// the simulation plane landed (one manual time source, not two).
-using ManualClock = SimClock;
-
 }  // namespace p2p::util

@@ -220,7 +220,7 @@ TEST(RendezvousTest, PropagationLoopSuppression) {
 TEST(RendezvousTest, LeaseExpiresWithoutRenewal) {
   // Manual-clock variant: build services directly so we control time.
   net::NetworkFabric fabric;
-  util::ManualClock clock;
+  util::SimClock clock;
   jxta::PeerConfig config;
   config.name = "rdv";
   config.rendezvous = true;

@@ -109,7 +109,7 @@ TEST(DiscoveryTest, FlushByIdentity) {
 
 TEST(DiscoveryTest, ExpiryHonoursLifetime) {
   net::NetworkFabric fabric;
-  util::ManualClock clock;
+  util::SimClock clock;
   PeerConfig config;
   config.name = "alice";
   config.heartbeat = std::chrono::hours(1);

@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "events/ski_rental.h"
@@ -408,6 +410,148 @@ TEST(ObsIntegrationTest, TraceSurvivesBatchFrameRoundTrip) {
   ASSERT_GE(batched->hops.size(), 4u);
   EXPECT_EQ(batched->hops[1].stage, "batch");
   EXPECT_EQ(batched->hops[1].peer, bob.id().to_string());
+}
+
+// A session bumps each TpsStats slot and its tps.* registry cell in one
+// call, so on a peer that hosts one session the two agree after mixed
+// traffic: sync and batched publishes, encode-cache hits, a throwing
+// callback, a duplicate copy and a malformed frame.
+TEST(ObsIntegrationTest, TpsStatsMatchRegistryDeltas) {
+  TestNet net;
+  jxta::Peer& alice = net.add_peer("alice");  // pooled subscriber
+  jxta::Peer& bob = net.add_peer("bob");      // synchronous publisher
+  jxta::Peer& carol = net.add_peer("carol");  // batching publisher
+  const Snapshot alice_before = alice.metrics().snapshot();
+  const Snapshot bob_before = bob.metrics().snapshot();
+  const Snapshot carol_before = carol.metrics().snapshot();
+
+  const auto builder = [] {
+    return tps::TpsConfig::Builder()
+        .adv_search_timeout(std::chrono::milliseconds(3000))
+        .finder_period(std::chrono::milliseconds(150));
+  };
+  tps::TpsEngine<SkiRental> engine_a(
+      alice, builder().adv_search_timeout(std::chrono::milliseconds(300))
+                 .delivery_pool(2)
+                 .build());
+  auto sub = engine_a.new_interface();
+  std::atomic<int> received{0};
+  auto handle = sub.subscribe(
+      [&](const SkiRental&) {
+        if (received++ == 0) throw std::runtime_error("first one fails");
+      },
+      [](std::exception_ptr) {});
+  tps::TpsEngine<SkiRental> engine_b(bob, builder().encode_cache(8).build());
+  auto sync_pub = engine_b.new_interface();
+  tps::TpsEngine<SkiRental> engine_c(
+      carol,
+      builder().batching(8, std::chrono::milliseconds(50)).build());
+  auto batch_pub = engine_c.new_interface();
+  ASSERT_EQ(sync_pub.advertisement_count(), 1u);
+  ASSERT_EQ(batch_pub.advertisement_count(), 1u);
+
+  // A raw pipe on the type's wire, to capture a frame and to inject.
+  const auto advs = alice.discovery().get_local(jxta::DiscoveryType::kGroup,
+                                                "Name", "PS_SkiRental");
+  ASSERT_EQ(advs.size(), 1u);
+  const auto* group_adv =
+      dynamic_cast<const jxta::PeerGroupAdvertisement*>(advs[0].get());
+  ASSERT_NE(group_adv, nullptr);
+  auto group = alice.create_group(*group_adv);
+  const auto pipe = *group_adv->service(jxta::WireService::kWireName)->pipe;
+  auto raw_in = group->wire().create_input_pipe(pipe);
+  auto raw_out = group->wire().create_output_pipe(pipe);
+
+  const auto repeated = std::make_shared<const SkiRental>("S", 1, "B", 1);
+  sync_pub.publish(repeated);
+  sync_pub.publish(repeated);  // an encode-cache hit
+  sync_pub.publish(SkiRental("S", 2, "B", 1));
+  for (int i = 0; i < 4; ++i) {
+    batch_pub.publish(SkiRental("S", 10.0f + i, "B", 1));
+  }
+  batch_pub.flush();
+  ASSERT_TRUE(wait_until([&] { return received == 7; }));
+
+  const auto copy = raw_in->poll(std::chrono::milliseconds(3000));
+  ASSERT_TRUE(copy.has_value());
+  raw_out->send(copy->dup());  // same event id: a duplicate everywhere
+  jxta::Message junk;
+  junk.add_bytes("tps:event", {0xde, 0xad});
+  raw_out->send(junk);  // no event id: a decode failure everywhere
+  const auto settled = [](const tps::TpsInterface<SkiRental>& tps) {
+    const tps::TpsStats stats = tps.stats();
+    return stats.received_unique == 7 && stats.duplicates_suppressed >= 1 &&
+           stats.decode_failures >= 1;
+  };
+  ASSERT_TRUE(wait_until([&] {
+    return settled(sub) && settled(sync_pub) && settled(batch_pub);
+  }));
+  sub.flush();
+
+  // Every TpsStats field but batched_events, which has no registry cell.
+  const auto mismatches = [](const tps::TpsStats& s, const Snapshot& before,
+                             const Snapshot& after) {
+    const Snapshot delta = diff(before, after);
+    const auto gauge = [&](const std::string& name) -> std::uint64_t {
+      const MetricValue* v = delta.find(name);
+      return v != nullptr ? static_cast<std::uint64_t>(v->gauge) : 0;
+    };
+    const std::pair<std::uint64_t, std::uint64_t> pairs[] = {
+        {s.published, delta.counter("tps.published")},
+        {s.wire_sends, delta.counter("tps.wire_sends")},
+        {s.received_unique, delta.counter("tps.received_unique")},
+        {s.duplicates_suppressed, delta.counter("tps.duplicates_suppressed")},
+        {s.decode_failures, delta.counter("tps.decode_failures")},
+        {s.callback_errors, delta.counter("tps.callback_errors")},
+        {s.codec_fallbacks, delta.counter("tps.codec_fallbacks")},
+        {s.batches_sent, delta.counter("tps.batches_sent")},
+        {s.encode_cache_hits, delta.counter("tps.encode_cache_hits")},
+        {s.publish_drops, delta.counter("tps.publish_drops")},
+        {s.send_queue_hwm, gauge("tps.send_queue_hwm")},
+        {s.deliveries_inline, delta.counter("tps.deliveries_inline")},
+        {s.deliveries_pooled, delta.counter("tps.deliveries_pooled")},
+        {s.delivery_drops, delta.counter("tps.delivery_drops")},
+        {s.delivery_queue_hwm, gauge("tps.delivery_queue_hwm")},
+        {s.dedup_probes, delta.counter("tps.dedup_probe_depth")},
+    };
+    std::string out;
+    for (std::size_t i = 0; i < std::size(pairs); ++i) {
+      if (pairs[i].first != pairs[i].second) {
+        out += "field " + std::to_string(i) + ": stats " +
+               std::to_string(pairs[i].first) + " vs registry " +
+               std::to_string(pairs[i].second) + "; ";
+      }
+    }
+    return out;
+  };
+  const std::tuple<const char*, const tps::TpsInterface<SkiRental>*,
+                   jxta::Peer*, const Snapshot*>
+      peers[] = {{"alice", &sub, &alice, &alice_before},
+                 {"bob", &sync_pub, &bob, &bob_before},
+                 {"carol", &batch_pub, &carol, &carol_before}};
+  for (const auto& [name, tps, peer, before] : peers) {
+    std::string last;
+    EXPECT_TRUE(wait_until([&] {
+      last = mismatches(tps->stats(), *before, peer->metrics().snapshot());
+      return last.empty();
+    })) << name << ": " << last;
+  }
+
+  // The traffic really reached every field it should have.
+  const tps::TpsStats a = sub.stats();
+  EXPECT_EQ(a.callback_errors, 1u);
+  EXPECT_EQ(a.deliveries_pooled, 7u);
+  EXPECT_GE(a.delivery_queue_hwm, 1u);
+  EXPECT_GT(a.dedup_probes, 0u);
+  const tps::TpsStats b = sync_pub.stats();
+  EXPECT_EQ(b.published, 3u);
+  EXPECT_EQ(b.wire_sends, 3u);
+  EXPECT_EQ(b.encode_cache_hits, 1u);
+  EXPECT_EQ(b.deliveries_inline, 0u);  // bob's session has no subscriber
+  const tps::TpsStats c = batch_pub.stats();
+  EXPECT_EQ(c.published, 4u);
+  EXPECT_GE(c.batches_sent, 1u);
+  EXPECT_GE(c.send_queue_hwm, 1u);
 }
 
 }  // namespace

@@ -210,7 +210,7 @@ TEST(MonitoringTest, SweepDiscoversPeersAndNotifies) {
 
 TEST(MonitoringTest, SilentPeerAgesOut) {
   net::NetworkFabric fabric;
-  util::ManualClock clock;
+  util::SimClock clock;
   PeerConfig config;
   config.name = "monitor";
   config.heartbeat = std::chrono::hours(1);
@@ -348,7 +348,7 @@ TEST(DiscoveryPersistenceTest, SaveLoadRoundTrip) {
 TEST(DiscoveryPersistenceTest, ExpiredEntriesNotSaved) {
   TempFile file;
   net::NetworkFabric fabric;
-  util::ManualClock clock;
+  util::SimClock clock;
   PeerConfig config;
   config.name = "alice";
   config.heartbeat = std::chrono::hours(1);

@@ -263,14 +263,5 @@ TEST(TimerQueueSimTest, CancelDuringAdvanceIsQuiescent) {
   EXPECT_EQ(q.pending(), 0u);
 }
 
-TEST(TimerQueueSimTest, ManualClockAliasStillWorks) {
-  // ManualClock is SimClock now; the old name must keep compiling for
-  // existing call sites and behave identically.
-  ManualClock clock;
-  const TimePoint before = clock.now();
-  clock.advance(milliseconds(25));
-  EXPECT_EQ(clock.now() - before, milliseconds(25));
-}
-
 }  // namespace
 }  // namespace p2p::util

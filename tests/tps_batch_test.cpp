@@ -237,6 +237,57 @@ TEST(TpsBatchTest, LegacyAndBatchedPublishersInteroperate) {
   EXPECT_EQ(sub.stats().decode_failures, 0u);
 }
 
+// A synchronous publish is the sender thread's lone-frame path run inline,
+// so both must put the same elements on the wire, in the same order.
+TEST(TpsBatchTest, SyncAndLoneBatchedPublishSendTheSameFrame) {
+  TestNet net;
+  jxta::Peer& alice = net.add_peer("alice");
+  TpsEngine<SkiRental> sync_engine(alice, fast_builder().build());
+  auto sync = sync_engine.new_interface();
+  TpsEngine<SkiRental> batched_engine(
+      alice, fast_builder()
+                 .adv_search_timeout(std::chrono::milliseconds(3000))
+                 .batching(8, std::chrono::microseconds(0))
+                 .build());
+  auto batched = batched_engine.new_interface();
+  ASSERT_EQ(batched.advertisement_count(), 1u);  // the same wire as sync's
+
+  // A raw listener on the type's wire sees each message as sent.
+  const auto advs = alice.discovery().get_local(jxta::DiscoveryType::kGroup,
+                                                "Name", "PS_SkiRental");
+  ASSERT_EQ(advs.size(), 1u);
+  const auto* group_adv =
+      dynamic_cast<const jxta::PeerGroupAdvertisement*>(advs[0].get());
+  ASSERT_NE(group_adv, nullptr);
+  auto group = alice.create_group(*group_adv);
+  auto raw = group->wire().create_input_pipe(
+      *group_adv->service(jxta::WireService::kWireName)->pipe);
+  const auto element_names = [&] {
+    std::vector<std::string> names;
+    if (const auto msg = raw->poll(std::chrono::milliseconds(3000))) {
+      for (const auto& element : msg->elements()) {
+        names.push_back(element.name);
+      }
+    }
+    return names;
+  };
+
+  ASSERT_EQ(sync.try_publish(SkiRental("S", 1, "B", 1)).outcome,
+            PublishOutcome::kSent);
+  const std::vector<std::string> sync_frame = element_names();
+  ASSERT_EQ(batched.try_publish(SkiRental("S", 2, "B", 1)).outcome,
+            PublishOutcome::kEnqueued);
+  batched.flush();
+  const std::vector<std::string> lone_frame = element_names();
+
+  ASSERT_GE(sync_frame.size(), 3u);
+  EXPECT_EQ(sync_frame[0], "tps:event");
+  EXPECT_EQ(sync_frame[1], "tps:event-id");
+  EXPECT_EQ(sync_frame[2], "tps:type");
+  EXPECT_EQ(lone_frame, sync_frame);
+  EXPECT_EQ(batched.stats().batches_sent, 0u);
+}
+
 TEST(TpsBatchTest, EncodeCacheSpansHierarchyFanOutAndRepeats) {
   // A SkiNews publication travels the SkiNews, SportsNews and News wires
   // off one shared encoding; re-publishing the same immutable object hits

@@ -13,7 +13,6 @@
 #include "tps/dynamic.h"
 #include "tps/encode_cache.h"
 #include "tps/tps.h"
-#include "tps/xml_event.h"
 
 namespace p2p::tps {
 namespace {
@@ -98,14 +97,6 @@ TEST(DynamicEventTest, XmlFormRoundTrips) {
   e.set("resort", "Verbier").set("snow_cm", "60");
   const DynamicEvent back = DynamicEvent::from_xml(e.to_xml());
   EXPECT_EQ(back, e);
-}
-
-TEST(DynamicEventTest, XmlEventAliasStillCompiles) {
-  // The deprecated surface: xml_event.h forwards to the codec-neutral one.
-  XmlEvent e("Quote");
-  e.set("sym", "A");
-  static_assert(std::is_same_v<XmlEvent, DynamicEvent>);
-  EXPECT_EQ(e.get("sym"), "A");
 }
 
 // --- codec registry ----------------------------------------------------------
@@ -312,19 +303,12 @@ TEST(CodecConfigTest, BuilderRejectsUnknownCodecNamingTheKnob) {
   }
 }
 
-TEST(CodecConfigTest, DecodeLimitsStructOverloadMatchesLooseArgs) {
+TEST(CodecConfigTest, DecodeLimitsStructSetsEveryCap) {
   const TpsConfig via_struct =
       TpsConfig::Builder()
           .decode_limits(DecodeLimits{
               .max_length = 1024, .max_count = 16, .max_depth = 8})
           .build();
-  const TpsConfig via_args =
-      TpsConfig::Builder().decode_limits(16, 1024, 8).build();
-  EXPECT_EQ(via_struct.decode_max_batch_events,
-            via_args.decode_max_batch_events);
-  EXPECT_EQ(via_struct.decode_max_event_bytes,
-            via_args.decode_max_event_bytes);
-  EXPECT_EQ(via_struct.decode_max_xml_depth, via_args.decode_max_xml_depth);
   EXPECT_EQ(via_struct.decode_max_batch_events, 16u);
   EXPECT_EQ(via_struct.decode_max_event_bytes, 1024u);
   EXPECT_EQ(via_struct.decode_max_xml_depth, 8u);

@@ -320,8 +320,6 @@ TEST(TpsDispatchTest, BuilderValidatesPoolKnobs) {
   const TpsConfig off =
       TpsConfig::Builder().delivery_pool(4).no_delivery_pool().build();
   EXPECT_EQ(off.delivery_workers, 0u);
-  const TpsConfig no_ring = TpsConfig::Builder().no_dedup_ring().build();
-  EXPECT_FALSE(no_ring.dedup_ring);
 }
 
 }  // namespace

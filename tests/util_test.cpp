@@ -550,6 +550,13 @@ struct GlobCase {
   bool match;
 };
 
+// gtest names each case by its printed value; without this it prints the
+// struct's raw bytes, pointers included, and the names change every run.
+void PrintTo(const GlobCase& c, std::ostream* os) {
+  *os << "'" << c.pattern << (c.match ? "' matches '" : "' rejects '")
+      << c.text << "'";
+}
+
 class GlobTest : public ::testing::TestWithParam<GlobCase> {};
 
 TEST_P(GlobTest, Matches) {
@@ -587,8 +594,8 @@ TEST(ClockTest, SystemClockAdvances) {
   EXPECT_GT(clock.now(), a);
 }
 
-TEST(ClockTest, ManualClockOnlyMovesWhenAdvanced) {
-  ManualClock clock;
+TEST(ClockTest, SimClockOnlyMovesWhenAdvanced) {
+  SimClock clock;
   const auto a = clock.now();
   EXPECT_EQ(clock.now(), a);
   clock.advance(std::chrono::milliseconds(50));

@@ -116,6 +116,10 @@ struct BadXmlCase {
   const char* text;
 };
 
+// Printed into each case's test name; the default prints the struct's raw
+// bytes, pointers included, so the name would change every run.
+void PrintTo(const BadXmlCase& c, std::ostream* os) { *os << c.name; }
+
 class XmlParseErrorTest : public ::testing::TestWithParam<BadXmlCase> {};
 
 TEST_P(XmlParseErrorTest, Throws) {
