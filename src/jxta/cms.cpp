@@ -48,11 +48,11 @@ void ContentAdvertisement::register_with_factory() {
 // --- CmsService -----------------------------------------------------------------
 
 CmsService::CmsService(ResolverService& resolver, EndpointService& endpoint,
-                       DiscoveryService& discovery, util::TimerQueue* timers)
+                       DiscoveryService& discovery, util::TimerQueue& timers)
     : resolver_(resolver),
       endpoint_(endpoint),
       discovery_(discovery),
-      timers_(timers != nullptr ? *timers : util::TimerQueue::shared()) {
+      timers_(timers) {
   ContentAdvertisement::register_with_factory();
 }
 

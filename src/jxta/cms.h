@@ -56,10 +56,10 @@ class CmsService final : public ResolverHandler,
   // memory bounded (a production CMS would chunk).
   static constexpr std::size_t kMaxContentBytes = 8 * 1024 * 1024;
 
-  // `timers` carries the search collection windows (null =>
-  // TimerQueue::shared()).
+  // `timers` (the owning peer's queue) carries the search collection
+  // windows.
   CmsService(ResolverService& resolver, EndpointService& endpoint,
-             DiscoveryService& discovery, util::TimerQueue* timers = nullptr);
+             DiscoveryService& discovery, util::TimerQueue& timers);
 
   void start() EXCLUDES(mu_);
   void stop() EXCLUDES(mu_);

@@ -48,10 +48,10 @@ QueryBody decode_query(std::span<const std::uint8_t> data) {
 
 DiscoveryService::DiscoveryService(ResolverService& resolver,
                                    util::Clock& clock,
-                                   util::TimerQueue* timers)
+                                   util::TimerQueue& timers)
     : resolver_(resolver),
       clock_(clock),
-      timers_(timers != nullptr ? *timers : util::TimerQueue::shared()),
+      timers_(timers),
       cache_hits_(resolver.metrics().counter("jxta.discovery.cache_hits")),
       cache_misses_(
           resolver.metrics().counter("jxta.discovery.cache_misses")),

@@ -49,10 +49,10 @@ class DiscoveryService final
   // NUMBER_OF_ADV_PER_PEER).
   static constexpr std::size_t kDefaultThreshold = 20;
 
-  // `timers` carries the expiry sweep (null => TimerQueue::shared()); a
+  // `timers` (the owning peer's queue) carries the expiry sweep; a
   // kSimulated queue puts cache expiry on virtual time.
   DiscoveryService(ResolverService& resolver, util::Clock& clock,
-                   util::TimerQueue* timers = nullptr);
+                   util::TimerQueue& timers);
 
   // Registers the PRP handler and arms the cache expiry sweep. Call once
   // after construction (needs shared_from_this, hence not in the

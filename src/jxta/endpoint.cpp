@@ -75,15 +75,17 @@ void EndpointService::add_transport(
   // Point the transport's own instruments (net.connections_active & co. for
   // TCP) at the peer-wide registry so one metrics dump covers both layers.
   transport->bind_metrics(metrics_);
+  const obs::Counter failures =
+      metrics_->counter("net." + transport->scheme() + ".send_failures");
   const util::MutexLock lock(mu_);
-  transports_.push_back(std::move(transport));
+  transports_.push_back({std::move(transport), failures});
 }
 
 std::vector<net::Address> EndpointService::local_addresses() const {
   const util::MutexLock lock(mu_);
   std::vector<net::Address> out;
   out.reserve(transports_.size());
-  for (const auto& t : transports_) out.push_back(t->local_address());
+  for (const auto& e : transports_) out.push_back(e.transport->local_address());
   return out;
 }
 
@@ -179,17 +181,17 @@ bool EndpointService::broadcast(std::string_view service,
   msg.service = std::string(service);
   msg.payload = std::move(payload);
   const util::Bytes wire = msg.serialize();
-  std::vector<std::shared_ptr<net::Transport>> transports;
+  std::vector<TransportEntry> transports;
   {
     const util::MutexLock lock(mu_);
     transports = transports_;
   }
   bool any = false;
-  for (const auto& t : transports) {
+  for (const auto& [t, failures] : transports) {
     if (t->broadcast(wire)) {
       any = true;
     } else {
-      metrics_->counter("net." + t->scheme() + ".send_failures").inc();
+      failures.inc();
     }
   }
   if (any) {
@@ -209,19 +211,19 @@ bool EndpointService::send_to_address(const net::Address& address,
   msg.service = std::string(service);
   msg.payload = std::move(payload);
   const util::Bytes wire = msg.serialize();
-  std::vector<std::shared_ptr<net::Transport>> transports;
+  std::vector<TransportEntry> transports;
   {
     const util::MutexLock lock(mu_);
     transports = transports_;
   }
-  for (const auto& t : transports) {
+  for (const auto& [t, failures] : transports) {
     if (t->scheme() != address.scheme()) continue;
     if (t->send(address, wire)) {
       msgs_sent_.inc();
       bytes_sent_.inc(wire.size());
       return true;
     }
-    metrics_->counter("net." + t->scheme() + ".send_failures").inc();
+    failures.inc();
   }
   send_failures_.inc();
   return false;
@@ -231,16 +233,16 @@ bool EndpointService::send_direct(const PeerId& next_hop,
                                   const EndpointMessage& msg) {
   const util::Bytes wire = msg.serialize();
   std::vector<net::Address> addresses = addresses_of(next_hop);
-  std::vector<std::shared_ptr<net::Transport>> transports;
+  std::vector<TransportEntry> transports;
   {
     const util::MutexLock lock(mu_);
     transports = transports_;
   }
   for (const auto& addr : addresses) {
-    for (const auto& t : transports) {
+    for (const auto& [t, failures] : transports) {
       if (t->scheme() != addr.scheme()) continue;
       if (t->send(addr, wire)) return true;
-      metrics_->counter("net." + t->scheme() + ".send_failures").inc();
+      failures.inc();
     }
   }
   return false;
@@ -353,12 +355,12 @@ EndpointTraffic EndpointService::traffic() const {
 
 void EndpointService::stop() {
   if (stopped_.exchange(true)) return;
-  std::vector<std::shared_ptr<net::Transport>> transports;
+  std::vector<TransportEntry> transports;
   {
     const util::MutexLock lock(mu_);
     transports = transports_;
   }
-  for (const auto& t : transports) t->close();
+  for (const auto& e : transports) e.transport->close();
 }
 
 }  // namespace p2p::jxta

@@ -151,7 +151,13 @@ class EndpointService {
 
   mutable util::Mutex mu_{"endpoint"};
   util::CondVar dispatch_cv_;
-  std::vector<std::shared_ptr<net::Transport>> transports_ GUARDED_BY(mu_);
+  // Each transport with its "net.<scheme>.send_failures" counter, resolved
+  // once in add_transport().
+  struct TransportEntry {
+    std::shared_ptr<net::Transport> transport;
+    obs::Counter send_failures;
+  };
+  std::vector<TransportEntry> transports_ GUARDED_BY(mu_);
   std::unordered_map<std::string, Listener> listeners_ GUARDED_BY(mu_);
   // Listener currently being invoked on the executor thread.
   std::string dispatching_service_ GUARDED_BY(mu_);

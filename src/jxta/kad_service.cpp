@@ -42,10 +42,10 @@ std::vector<ParsedRecord> parse_records(const std::vector<KadRecord>& recs) {
 }  // namespace
 
 KadService::KadService(ResolverService& resolver, util::Clock& clock,
-                       KadConfig config, util::TimerQueue* timers)
+                       KadConfig config, util::TimerQueue& timers)
     : resolver_(resolver),
       clock_(clock),
-      timers_(timers != nullptr ? *timers : util::TimerQueue::shared()),
+      timers_(timers),
       config_(config),
       self_(resolver.endpoint().local_peer()),
       lookups_(resolver.metrics().counter("jxta.dht.lookups")),

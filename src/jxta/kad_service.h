@@ -72,10 +72,10 @@ class KadService final : public ResolverHandler,
       std::uint32_t hops)>;
   using NodeCallback = std::function<void(std::vector<PeerId> closest)>;
 
-  // `timers` carries RPC timeouts and the maintenance tick (null =>
-  // TimerQueue::shared()); a kSimulated queue puts them on virtual time.
+  // `timers` (the owning peer's queue) carries RPC timeouts and the
+  // maintenance tick; a kSimulated queue puts them on virtual time.
   KadService(ResolverService& resolver, util::Clock& clock, KadConfig config,
-             util::TimerQueue* timers = nullptr);
+             util::TimerQueue& timers);
 
   // Registers the PRP handler and arms the maintenance tick. Needs
   // shared_from_this, hence not in the constructor.

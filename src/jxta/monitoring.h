@@ -29,8 +29,9 @@ class MonitoringService {
     PeerInfo info;
     util::TimePoint last_seen{};
   };
-  // (peer, alive?) — fired on the monitor's own thread when a peer is
-  // first seen (alive=true) or ages out (alive=false).
+  // (peer, alive?) — fired where the peer's TimerQueue runs (or on the
+  // sweep() caller) when a peer is first seen (alive=true) or ages out
+  // (alive=false).
   using LivenessListener = std::function<void(const PeerInfo&, bool alive)>;
 
   MonitoringService(PeerInfoService& pip, util::PeriodicTimer& timer,
@@ -46,8 +47,8 @@ class MonitoringService {
   void stop() EXCLUDES(mu_);
 
   // One sweep, synchronously. The periodic timer instead drives the async
-  // form: it kicks off a PIP survey whose collect window rides the shared
-  // util::TimerQueue, so the shared PeriodicTimer thread is never parked
+  // form: it kicks off a PIP survey whose collect window is a timer of its
+  // own, so the peer's TimerQueue, which fires the sweep, is never parked
   // for `config.window`.
   void sweep() EXCLUDES(mu_);
 
@@ -60,7 +61,7 @@ class MonitoringService {
   [[nodiscard]] std::size_t live_peer_count() const EXCLUDES(mu_);
 
  private:
-  // Timer-driven sweep: surveys without blocking the timer thread.
+  // Timer-driven sweep: surveys without blocking the timer queue.
   void sweep_async() EXCLUDES(mu_);
   // Folds one survey's results into statuses_ and fires liveness events.
   void apply(const std::vector<PeerInfo>& infos) EXCLUDES(mu_);

@@ -11,19 +11,16 @@ PeerGroupId Peer::net_group_id() {
 Peer::Peer(PeerConfig config, util::Clock& clock, util::TimerQueue* timers)
     : config_(std::move(config)),
       clock_(clock),
-      timers_(timers),
+      timers_(timers != nullptr ? *timers : util::TimerQueue::shared()),
+      timer_(config_.name + ".timer", timers_),
       id_(PeerId::generate()) {
   config_.rdv.is_rendezvous = config_.rendezvous;
-  if (config_.single_threaded && timers_ == nullptr) {
+  if (config_.single_threaded && timers == nullptr) {
     throw util::InvalidArgument(
         "single_threaded peer needs an injected TimerQueue");
   }
   executor_ = std::make_unique<util::SerialExecutor>(
       config_.name, /*inline_mode=*/config_.single_threaded);
-  timer_ = config_.single_threaded
-               ? std::make_unique<util::PeriodicTimer>(config_.name + ".timer",
-                                                       *timers_)
-               : std::make_unique<util::PeriodicTimer>(config_.name + ".timer");
   metrics_ = std::make_shared<obs::Registry>();
   tracer_ = std::make_shared<obs::Tracer>(
       config_.trace_capacity, metrics_->counter("obs.traces_dropped"));
@@ -93,7 +90,7 @@ void Peer::start() {
   cms_ = std::make_shared<CmsService>(*resolver_, *endpoint_, *discovery_,
                                       timers_);
   monitoring_ =
-      std::make_unique<MonitoringService>(*peer_info_, *timer_, clock_);
+      std::make_unique<MonitoringService>(*peer_info_, timer_, clock_);
 
   rendezvous_->start();
   resolver_->start();
@@ -126,7 +123,7 @@ void Peer::start() {
                                config_.adv_lifetime_ms);
   }
 
-  timer_handle_ = timer_->schedule(config_.heartbeat, [this] { tick(); });
+  timer_handle_ = timer_.schedule(config_.heartbeat, [this] { tick(); });
 }
 
 void Peer::tick() {
@@ -145,7 +142,7 @@ void Peer::stop() {
   // samples (loops, delivery executors) tear down below.
   if (watchdog_) watchdog_->stop();
   monitoring_->stop();
-  timer_->stop();
+  timer_.stop();
   net_group_.reset();
   cms_->stop();
   route_resolver_->stop();

@@ -56,11 +56,11 @@ struct PeerConfig {
   bool watchdog = false;
   obs::WatchdogConfig watchdog_config;
   // --- simulation ---
-  // Threadless peer: the executor runs inline on the posting thread and the
-  // maintenance timer rides the injected TimerQueue instead of owning a
-  // thread. This is what lets a scenario host 10k+ peers in one process —
-  // the sim driver thread is the only thread, so per-peer FIFO holds
-  // trivially. Requires a TimerQueue passed to the Peer constructor.
+  // Threadless peer: the executor runs inline on the posting thread instead
+  // of owning a thread. With the injected TimerQueue this is what lets a
+  // scenario host 10k+ peers in one process — the sim driver thread is the
+  // only thread, so per-peer FIFO holds trivially. Requires a TimerQueue
+  // passed to the Peer constructor.
   bool single_threaded = false;
   // start() normally remote-publishes the peer advertisement (a group-wide
   // push). At 10k-peer joins that flood is O(N) per join — O(N²) total — so
@@ -72,9 +72,10 @@ struct PeerConfig {
 class Peer {
  public:
   // `timers` is the peer's deadline service for every JXTA service timer
-  // (null => TimerQueue::shared()). A sim passes its kSimulated queue here,
-  // which puts discovery expiry, DHT ticks, CMS windows and — with
-  // config.single_threaded — the maintenance heartbeat on virtual time.
+  // and all periodic work (null => the process-wide shared queue). A sim
+  // passes its kSimulated queue here, which puts discovery expiry, DHT
+  // ticks, CMS windows, the maintenance heartbeat and finder re-queries on
+  // virtual time.
   explicit Peer(PeerConfig config,
                 util::Clock& clock = util::SystemClock::instance(),
                 util::TimerQueue* timers = nullptr);
@@ -114,9 +115,9 @@ class Peer {
   // sessions: delivery-queue age) and must unwatch before their own
   // teardown.
   [[nodiscard]] obs::Watchdog* watchdog() { return watchdog_.get(); }
-  // The peer's shared maintenance timer; layers above JXTA (e.g. the TPS
-  // advertisement finder) schedule their periodic work here.
-  [[nodiscard]] util::PeriodicTimer& timer() { return *timer_; }
+  // The peer's periodic work on its TimerQueue; layers above JXTA (e.g. the
+  // TPS advertisement finder) schedule here, and stop() cancels it all.
+  [[nodiscard]] util::PeriodicTimer& timer() { return timer_; }
 
   [[nodiscard]] EndpointService& endpoint() { return *endpoint_; }
   [[nodiscard]] RendezvousService& rendezvous() { return *rendezvous_; }
@@ -156,13 +157,13 @@ class Peer {
  private:
   PeerConfig config_;
   util::Clock& clock_;
-  util::TimerQueue* timers_;  // null => TimerQueue::shared()
+  util::TimerQueue& timers_;
+  util::PeriodicTimer timer_;
   PeerId id_;
   std::shared_ptr<obs::Registry> metrics_;
   std::shared_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::Watchdog> watchdog_;
   std::unique_ptr<util::SerialExecutor> executor_;
-  std::unique_ptr<util::PeriodicTimer> timer_;
   std::unique_ptr<EndpointService> endpoint_;
   std::unique_ptr<RendezvousService> rendezvous_;
   std::unique_ptr<ResolverService> resolver_;
@@ -181,9 +182,9 @@ class Peer {
   std::vector<std::shared_ptr<PeerGroup>> owned_groups_
       GUARDED_BY(groups_mu_);
   std::uint64_t timer_handle_ = 0;
-  std::uint32_t ticks_ = 0;  // timer thread only
+  std::uint32_t ticks_ = 0;  // timer callbacks only
   // Written by start()/stop() on the owner's thread, read by the timer
-  // thread in tick() — atomics, not a mutex, because tick() must stay
+  // callback in tick() — atomics, not a mutex, because tick() must stay
   // wait-free against a concurrent stop().
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};

@@ -35,11 +35,11 @@ PeerInfo PeerInfo::deserialize(std::span<const std::uint8_t> data) {
 PeerInfoService::PeerInfoService(ResolverService& resolver,
                                  EndpointService& endpoint,
                                  util::Clock& clock, std::string peer_name,
-                                 util::TimerQueue* timers)
+                                 util::TimerQueue& timers)
     : resolver_(resolver),
       endpoint_(endpoint),
       clock_(clock),
-      timers_(timers != nullptr ? *timers : util::TimerQueue::shared()),
+      timers_(timers),
       peer_name_(std::move(peer_name)),
       started_at_(clock.now()) {}
 

@@ -33,11 +33,11 @@ class PeerInfoService final
  public:
   static constexpr std::string_view kHandlerName = "jxta.peerinfo";
 
-  // `timers` carries the survey collection windows (null =>
-  // TimerQueue::shared()).
+  // `timers` (the owning peer's queue) carries the survey collection
+  // windows.
   PeerInfoService(ResolverService& resolver, EndpointService& endpoint,
                   util::Clock& clock, std::string peer_name,
-                  util::TimerQueue* timers = nullptr);
+                  util::TimerQueue& timers);
 
   void start() EXCLUDES(mu_);
   void stop() EXCLUDES(mu_);

@@ -11,7 +11,7 @@
 //
 // Nodes register by name; InProcTransport (inproc_transport.h) bridges the
 // fabric to the Transport interface. Delivery deadlines ride an injected
-// util::TimerQueue (the process-wide TimerQueue::shared() by default) — the
+// util::TimerQueue (the process-wide shared queue by default) — the
 // fabric owns no thread of its own. Handing it a kSimulated queue puts every
 // in-flight datagram on virtual time, which is how the scenario driver
 // (src/sim/) replays a WAN deterministically. The timer queue fires equal
@@ -55,7 +55,7 @@ struct FabricStats {
 class NetworkFabric {
  public:
   // seed drives loss/jitter decisions; a fixed seed makes a run repeatable.
-  // `timers` carries the delivery deadlines (null => TimerQueue::shared());
+  // `timers` carries the delivery deadlines (null => the shared queue);
   // it must outlive the fabric.
   explicit NetworkFabric(std::uint64_t seed = 42,
                          util::TimerQueue* timers = nullptr);

@@ -17,9 +17,9 @@ std::int64_t to_us(util::Duration d) {
 }  // namespace
 
 Watchdog::Watchdog(WatchdogConfig config, std::shared_ptr<Registry> registry,
-                   util::TimerQueue* timers)
+                   util::TimerQueue& timers)
     : config_(config),
-      timers_(timers != nullptr ? *timers : util::TimerQueue::shared()),
+      timers_(timers),
       registry_(std::move(registry)),
       loop_lag_us_(registry_->histogram("obs.loop_lag_us")),
       queue_age_us_(registry_->histogram("obs.delivery_queue_age_us")),

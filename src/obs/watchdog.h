@@ -75,9 +75,9 @@ class Watchdog {
 
   // Registers obs.loop_lag_us / obs.delivery_queue_age_us / obs.timer_lag_us
   // histograms and obs.watchdog_alarms in `registry` (kept alive here).
-  // `timers` carries the periodic check (null => TimerQueue::shared()).
+  // `timers` carries the periodic check; it must outlive the watchdog.
   Watchdog(WatchdogConfig config, std::shared_ptr<Registry> registry,
-           util::TimerQueue* timers = nullptr);
+           util::TimerQueue& timers);
   ~Watchdog();
 
   Watchdog(const Watchdog&) = delete;
@@ -92,7 +92,7 @@ class Watchdog {
   void unwatch(std::uint64_t id) EXCLUDES(mu_);
 
   // Replaces the alarm hook (default: log the report). Invoked off the
-  // watchdog lock, on the shared timer thread.
+  // watchdog lock, wherever `timers` fires the check.
   void set_alarm(AlarmHook hook) EXCLUDES(mu_);
 
   // Starts/stops the periodic check. start() is idempotent; stop() blocks

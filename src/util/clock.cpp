@@ -3,7 +3,7 @@
 namespace p2p::util {
 
 SystemClock& SystemClock::instance() {
-  // Leaked like TimerQueue::shared(), whose waiter thread outlives main and
+  // Leaked like the shared TimerQueue, whose waiter thread outlives main and
   // still reads this clock while static destructors run.
   static auto* clock = new SystemClock;
   return *clock;

@@ -67,39 +67,22 @@ void SerialExecutor::run() {
   }
 }
 
-PeriodicTimer::PeriodicTimer(std::string name)
-    : name_(std::move(name)), timers_(nullptr) {
-  thread_ = std::thread([this] { run(); });
-}
-
 PeriodicTimer::PeriodicTimer(std::string name, TimerQueue& timers)
-    : name_(std::move(name)), timers_(&timers) {}
+    : name_(std::move(name)), timers_(timers) {}
 
 PeriodicTimer::~PeriodicTimer() { stop(); }
 
 std::uint64_t PeriodicTimer::schedule(Duration period, Task task) {
-  if (timers_ != nullptr) {
-    const MutexLock lock(mu_);
-    if (stopped_) return 0;
-    const std::uint64_t id = next_id_++;
-    entries_.push_back(Entry{id, TimePoint{}, period, std::move(task)});
-    entries_.back().queue_timer =
-        timers_->schedule_after(period, [this, id] { fire_queued(id); });
-    return id;
-  }
-  std::uint64_t id = 0;
-  {
-    const MutexLock lock(mu_);
-    if (stopped_) return 0;
-    id = next_id_++;
-    entries_.push_back(Entry{id, SystemClock::instance().now() + period,
-                             period, std::move(task)});
-  }
-  cv_.notify_all();
+  const MutexLock lock(mu_);
+  if (stopped_) return 0;
+  const std::uint64_t id = next_id_++;
+  entries_.push_back(Entry{id, period, std::move(task)});
+  entries_.back().queue_timer =
+      timers_.schedule_after(period, [this, id] { fire(id); });
   return id;
 }
 
-void PeriodicTimer::fire_queued(std::uint64_t handle) {
+void PeriodicTimer::fire(std::uint64_t handle) {
   Task task;
   Duration period{};
   {
@@ -127,96 +110,36 @@ void PeriodicTimer::fire_queued(std::uint64_t handle) {
                    [&](const Entry& e) { return e.id == handle; });
   if (it == entries_.end() || stopped_) return;
   it->queue_timer =
-      timers_->schedule_after(period, [this, handle] { fire_queued(handle); });
+      timers_.schedule_after(period, [this, handle] { fire(handle); });
 }
 
 void PeriodicTimer::cancel(std::uint64_t handle) {
-  if (timers_ != nullptr) {
-    TimerId queue_timer = 0;
-    {
-      const MutexLock lock(mu_);
-      const auto it =
-          std::find_if(entries_.begin(), entries_.end(),
-                       [&](const Entry& e) { return e.id == handle; });
-      if (it == entries_.end()) return;
-      queue_timer = it->queue_timer;
-      entries_.erase(it);
-    }
-    // TimerQueue::cancel gives the synchronous-cancellation guarantee: it
-    // blocks out a firing fire_queued (whose re-arm then finds the entry
-    // gone), and a self-cancel from inside the task returns immediately.
-    if (queue_timer != 0) timers_->cancel(queue_timer);
-    return;
+  TimerId queue_timer = 0;
+  {
+    const MutexLock lock(mu_);
+    const auto it =
+        std::find_if(entries_.begin(), entries_.end(),
+                     [&](const Entry& e) { return e.id == handle; });
+    if (it == entries_.end()) return;
+    queue_timer = it->queue_timer;
+    entries_.erase(it);
   }
-  const MutexLock lock(mu_);
-  std::erase_if(entries_, [&](const Entry& e) { return e.id == handle; });
-  // Synchronous cancellation: don't return while this handle's task runs
-  // (unless we ARE that task — then waiting would deadlock).
-  if (std::this_thread::get_id() != thread_.get_id()) {
-    while (firing_id_ == handle) cv_.wait(mu_);
-  }
+  // TimerQueue::cancel gives the synchronous-cancellation guarantee: it
+  // blocks out a firing fire() (whose re-arm then finds the entry gone),
+  // and a self-cancel from inside the task returns immediately.
+  timers_.cancel(queue_timer);
 }
 
 void PeriodicTimer::stop() {
-  if (timers_ != nullptr) {
-    std::vector<TimerId> pending;
-    {
-      const MutexLock lock(mu_);
-      if (stopped_) return;
-      stopped_ = true;
-      for (const Entry& e : entries_) {
-        if (e.queue_timer != 0) pending.push_back(e.queue_timer);
-      }
-      entries_.clear();
-    }
-    for (const TimerId id : pending) timers_->cancel(id);
-    return;
-  }
+  std::vector<TimerId> pending;
   {
     const MutexLock lock(mu_);
     if (stopped_) return;
     stopped_ = true;
+    for (const Entry& e : entries_) pending.push_back(e.queue_timer);
+    entries_.clear();
   }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void PeriodicTimer::run() {
-  MutexLock lock(mu_);
-  while (!stopped_) {
-    if (entries_.empty()) {
-      while (!stopped_ && entries_.empty()) cv_.wait(mu_);
-      continue;
-    }
-    auto soonest = std::min_element(
-        entries_.begin(), entries_.end(),
-        [](const Entry& a, const Entry& b) { return a.next < b.next; });
-    const auto now = SystemClock::instance().now();
-    if (soonest->next > now) {
-      // Copy the deadline: wait_until releases the lock, so a concurrent
-      // schedule() may reallocate entries_ and invalidate `soonest`.
-      const TimePoint deadline = soonest->next;
-      cv_.wait_until(mu_, deadline);
-      continue;  // re-evaluate: entries may have changed
-    }
-    // Fire outside the lock so the task can (re)schedule or cancel.
-    const std::uint64_t id = soonest->id;
-    Task task = soonest->task;  // copy: entry may be cancelled while firing
-    soonest->next = now + soonest->period;
-    firing_id_ = id;
-    lock.unlock();
-    try {
-      task();
-    } catch (const std::exception& e) {
-      P2P_LOG(kError, "timer") << name_ << ": task " << id
-                               << " threw: " << e.what();
-    } catch (...) {
-      P2P_LOG(kError, "timer") << name_ << ": task " << id << " threw";
-    }
-    lock.lock();
-    firing_id_ = 0;
-    cv_.notify_all();  // wake cancellers waiting on this firing
-  }
+  for (const TimerId id : pending) timers_.cancel(id);
 }
 
 }  // namespace p2p::util

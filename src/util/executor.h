@@ -57,18 +57,15 @@ class SerialExecutor {
   std::thread thread_;
 };
 
-// Fires registered callbacks at fixed periods. Two backings:
-//   * own thread (default) — the historical per-peer timer thread; blocking
-//     work in a task only parks this timer, never the shared TimerQueue.
-//   * an injected util::TimerQueue — no thread; periodic entries ride the
-//     queue (re-armed after each firing). With a kSimulated queue the
-//     periodic work (discovery re-query loops, peer heartbeats) runs on
-//     virtual time, which is how sim peers stay threadless.
-// Used by discovery re-query loops and advertisement-cache sweeps.
+// Fires registered callbacks at fixed periods on a util::TimerQueue: each
+// entry is a queue timer re-armed after every firing, and the set of
+// entries belongs to one owner, so stop() cancels all of its periodic work
+// in one call. Owns no thread: tasks run wherever the queue fires them, so
+// they must not block. With a kSimulated queue the periodic work (peer
+// heartbeats, finder re-queries, monitoring sweeps) runs on virtual time.
 class PeriodicTimer {
  public:
-  explicit PeriodicTimer(std::string name);
-  // TimerQueue-backed: schedules ride `timers` (which must outlive this).
+  // Schedules ride `timers`, which must outlive this.
   PeriodicTimer(std::string name, TimerQueue& timers);
   ~PeriodicTimer();
 
@@ -80,39 +77,32 @@ class PeriodicTimer {
   std::uint64_t schedule(Duration period, Task task) EXCLUDES(mu_);
 
   // Stops future firings of the handle. If a firing of this handle is in
-  // progress on the timer thread, blocks until it completes — after
-  // cancel() returns it is safe to destroy state the task references.
-  // (When called from within the task itself, returns immediately.)
-  // Thread-safe, idempotent.
+  // progress on another thread, blocks until it completes — after cancel()
+  // returns it is safe to destroy state the task references. (When called
+  // from within the task itself, returns immediately.) Thread-safe,
+  // idempotent.
   void cancel(std::uint64_t handle) EXCLUDES(mu_);
 
-  // Stops the timer thread / cancels queue-backed entries. Idempotent.
+  // Cancels every entry; later schedules are refused. Idempotent.
   void stop() EXCLUDES(mu_);
 
  private:
   struct Entry {
     std::uint64_t id;
-    TimePoint next;
     Duration period;
     Task task;
-    // TimerQueue-backed only: the currently armed queue timer.
-    TimerId queue_timer = 0;
+    TimerId queue_timer = 0;  // the currently armed queue timer
   };
 
-  void run() EXCLUDES(mu_);
-  // TimerQueue-backed: fire `handle`'s task and re-arm it.
-  void fire_queued(std::uint64_t handle) EXCLUDES(mu_);
+  // Fires `handle`'s task and re-arms it.
+  void fire(std::uint64_t handle) EXCLUDES(mu_);
 
   std::string name_;
-  TimerQueue* const timers_;  // null => own thread
+  TimerQueue& timers_;
   Mutex mu_{"PeriodicTimer"};
-  CondVar cv_;
   std::vector<Entry> entries_ GUARDED_BY(mu_);
   std::uint64_t next_id_ GUARDED_BY(mu_) = 1;
-  // Entry currently executing on the timer thread, 0 if none.
-  std::uint64_t firing_id_ GUARDED_BY(mu_) = 0;
   bool stopped_ GUARDED_BY(mu_) = false;
-  std::thread thread_;
 };
 
 }  // namespace p2p::util

@@ -8,7 +8,8 @@
 //
 // Three driving modes:
 //   * kOwnThread  — the queue runs its own waiter thread (the process-wide
-//     TimerQueue::shared() instance used by the fabric and JXTA services).
+//     TimerQueue::shared() instance used by the fabric and by every peer
+//     not handed a queue of its own).
 //   * kDriven     — no thread; an owner (net::EventLoop) polls
 //     next_deadline() to size its epoll timeout and calls run_due() when
 //     it wakes. Scheduling an earlier deadline invokes the owner-supplied

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 
 #include "jxta/peer.h"
 #include "obs/metrics.h"
@@ -603,6 +605,32 @@ TEST(PeerTest, MakeAdvertisementReflectsConfig) {
   EXPECT_TRUE(adv.is_router);
   ASSERT_EQ(adv.endpoints.size(), 1u);
   EXPECT_EQ(adv.endpoints[0].to_string(), "inproc://rdv");
+}
+
+// Threads of this process, counted from /proc/self/task; -1 where that
+// directory is absent.
+int process_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  return static_cast<int>(
+      std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+TEST(PeerTest, StartedThreadedPeerAddsOneThread) {
+  if (process_threads() < 0) GTEST_SKIP() << "/proc/self/task is absent";
+  // The shared queue's thread belongs to the process, not to a peer.
+  (void)util::TimerQueue::shared();
+  net::NetworkFabric fabric(42);
+  const int before = process_threads();
+  PeerConfig config;
+  config.name = "solo";
+  Peer peer(config);
+  peer.add_transport(std::make_shared<net::InProcTransport>(fabric, "solo"));
+  peer.start();
+  // Its executor; periodic work rides the timer queue.
+  EXPECT_EQ(process_threads(), before + 1);
+  peer.stop();
 }
 
 }  // namespace

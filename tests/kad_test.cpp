@@ -217,18 +217,26 @@ jxta::PeerGroupAdvertisement group_adv(const std::string& name,
 
 TEST(KadIntegrationTest, LookupResolvesAdvertisementThroughDht) {
   testing::TestNet net;
-  net.add_peer(kad_config("rdv", true, {}));
+  jxta::Peer& rdv = net.add_peer(kad_config("rdv", true, {}));
   jxta::Peer& pub = net.add_peer(kad_config("pub", false, {"rdv"}));
   jxta::Peer& sub = net.add_peer(kad_config("sub", false, {"rdv"}));
 
   ASSERT_TRUE(testing::wait_until(
       [&] { return pub.kad()->ready() && sub.kad()->ready(); }));
 
+  // Sync on a STORE landing at another DHT peer (registry-free, so it holds
+  // with metrics compiled out too).
+  const auto stored = [&] {
+    return rdv.kad()->store_size() + sub.kad()->store_size();
+  };
+  const std::size_t stored_before = stored();
   pub.discovery().remote_publish(group_adv("ps.kad-target", pub),
                                  DiscoveryType::kGroup);
-  ASSERT_TRUE(testing::wait_until([&] {
-    return pub.metrics().snapshot().counter("jxta.dht.stores") > 0;
-  }));
+  ASSERT_TRUE(
+      testing::wait_until([&] { return stored() > stored_before; }));
+  if (obs::enabled()) {
+    EXPECT_GT(pub.metrics().snapshot().counter("jxta.dht.stores"), 0u);
+  }
 
   sub.discovery().get_remote(DiscoveryType::kGroup, "Name", "ps.kad-target");
   ASSERT_TRUE(testing::wait_until([&] {
@@ -238,9 +246,11 @@ TEST(KadIntegrationTest, LookupResolvesAdvertisementThroughDht) {
   }));
 
   // The query went through the DHT plane, not the flood.
-  const auto snap = sub.metrics().snapshot();
-  EXPECT_GT(snap.counter("jxta.dht.lookups"), 0u);
-  EXPECT_GT(snap.counter("jxta.dht.rpcs_sent"), 0u);
+  if (obs::enabled()) {
+    const auto snap = sub.metrics().snapshot();
+    EXPECT_GT(snap.counter("jxta.dht.lookups"), 0u);
+    EXPECT_GT(snap.counter("jxta.dht.rpcs_sent"), 0u);
+  }
 }
 
 TEST(KadIntegrationTest, LookupSurvivesChurn) {
@@ -313,9 +323,11 @@ TEST(KadIntegrationTest, DhtPeerFallsBackToFloodForLegacyPublisher) {
 
   // Deterministic fallback accounting: the DHT missed exactly where it
   // had to, and the flood answered under the original query id.
-  EXPECT_GE(finder.metrics().snapshot().counter(
-                "jxta.discovery.flood_fallbacks"),
-            1u);
+  if (obs::enabled()) {
+    EXPECT_GE(finder.metrics().snapshot().counter(
+                  "jxta.discovery.flood_fallbacks"),
+              1u);
+  }
 }
 
 TEST(KadIntegrationTest, LegacySearcherStillFindsDhtPublisher) {

@@ -160,7 +160,7 @@ TEST(WatchdogTest, QueueStallAlarmsOncePerStallAndRearms) {
   auto registry = std::make_shared<Registry>();
   WatchdogConfig config;
   config.queue_stall = std::chrono::milliseconds(100);
-  Watchdog watchdog(config, registry);
+  Watchdog watchdog(config, registry, util::TimerQueue::shared());
   AlarmProbe probe;
   probe.expected_kind = "queue-stall";
   watchdog.set_alarm(probe.hook());
@@ -207,7 +207,7 @@ TEST(WatchdogTest, SleepingLoopThreadPostAlarmsExactlyOnce) {
   auto registry = std::make_shared<Registry>();
   WatchdogConfig config;
   config.loop_stall = std::chrono::milliseconds(50);
-  Watchdog watchdog(config, registry);
+  Watchdog watchdog(config, registry, util::TimerQueue::shared());
   AlarmProbe probe;
   probe.expected_kind = "loop-stall";
   watchdog.set_alarm(probe.hook());
@@ -252,7 +252,7 @@ TEST(WatchdogTest, RejectedBeatIsSkippedNotAlarmed) {
   auto registry = std::make_shared<Registry>();
   WatchdogConfig config;
   config.loop_stall = std::chrono::milliseconds(0);
-  Watchdog watchdog(config, registry);
+  Watchdog watchdog(config, registry, util::TimerQueue::shared());
   AlarmProbe probe;
   watchdog.set_alarm(probe.hook());
   // A target that refuses the beat (shutting down) must not look stalled.
@@ -269,7 +269,7 @@ TEST(WatchdogTest, TimerLagAlarmsOnLateCheck) {
   auto registry = std::make_shared<Registry>();
   WatchdogConfig config;
   config.timer_lag = std::chrono::milliseconds(100);
-  Watchdog watchdog(config, registry);
+  Watchdog watchdog(config, registry, util::TimerQueue::shared());
   AlarmProbe probe;
   probe.expected_kind = "timer-lag";
   watchdog.set_alarm(probe.hook());

@@ -721,50 +721,122 @@ TEST(ExecutorTest, OnExecutorThread) {
   EXPECT_TRUE(inside);
 }
 
+// PeriodicTimer rides a TimerQueue; a kSimulated queue makes the firing
+// counts exact: an entry armed at t=0 with period p fires at p, 2p, ...
+struct SimTimer {
+  SimClock clock;
+  TimerQueue queue{"test", clock};
+  PeriodicTimer timer{"test", queue};
+};
+
 TEST(TimerTest, FiresRepeatedly) {
-  PeriodicTimer timer("test");
-  std::atomic<int> fired{0};
-  timer.schedule(std::chrono::milliseconds(10), [&] { ++fired; });
-  p2p::testing::settle(std::chrono::milliseconds(100));
-  timer.stop();
-  EXPECT_GE(fired, 3);
+  SimTimer sim;
+  int fired = 0;
+  sim.timer.schedule(std::chrono::milliseconds(10), [&] { ++fired; });
+  sim.queue.advance_by(std::chrono::milliseconds(100));
+  EXPECT_EQ(fired, 10);
+  sim.timer.stop();
+  sim.queue.advance_by(std::chrono::milliseconds(100));
+  EXPECT_EQ(fired, 10);  // stop() cancels every entry
 }
 
 TEST(TimerTest, CancelStopsFiring) {
-  PeriodicTimer timer("test");
-  std::atomic<int> fired{0};
+  SimTimer sim;
+  int fired = 0;
   const auto handle =
-      timer.schedule(std::chrono::milliseconds(10), [&] { ++fired; });
-  p2p::testing::settle(std::chrono::milliseconds(50));
-  timer.cancel(handle);
-  const int at_cancel = fired;
-  p2p::testing::settle(std::chrono::milliseconds(50));
-  EXPECT_LE(fired, at_cancel + 1);  // at most one in-flight firing
-  timer.stop();
+      sim.timer.schedule(std::chrono::milliseconds(10), [&] { ++fired; });
+  sim.queue.advance_by(std::chrono::milliseconds(50));
+  EXPECT_EQ(fired, 5);
+  sim.timer.cancel(handle);
+  sim.queue.advance_by(std::chrono::milliseconds(50));
+  EXPECT_EQ(fired, 5);
+  EXPECT_EQ(sim.queue.pending(), 0u);
 }
 
 TEST(TimerTest, MultipleEntriesIndependent) {
-  PeriodicTimer timer("test");
-  std::atomic<int> fast{0};
-  std::atomic<int> slow{0};
-  timer.schedule(std::chrono::milliseconds(10), [&] { ++fast; });
-  timer.schedule(std::chrono::milliseconds(40), [&] { ++slow; });
-  p2p::testing::settle(std::chrono::milliseconds(120));
-  timer.stop();
-  EXPECT_GT(fast, slow);
-  EXPECT_GE(slow, 1);
+  SimTimer sim;
+  int fast = 0;
+  int slow = 0;
+  sim.timer.schedule(std::chrono::milliseconds(10), [&] { ++fast; });
+  const auto slow_handle =
+      sim.timer.schedule(std::chrono::milliseconds(40), [&] { ++slow; });
+  sim.queue.advance_by(std::chrono::milliseconds(120));
+  EXPECT_EQ(fast, 12);
+  EXPECT_EQ(slow, 3);
+  // Cancelling one entry leaves the other running.
+  sim.timer.cancel(slow_handle);
+  sim.queue.advance_by(std::chrono::milliseconds(40));
+  EXPECT_EQ(fast, 16);
+  EXPECT_EQ(slow, 3);
 }
 
 TEST(TimerTest, SurvivesThrowingTask) {
-  PeriodicTimer timer("test");
-  std::atomic<int> fired{0};
-  timer.schedule(std::chrono::milliseconds(10), [&] {
+  SimTimer sim;
+  int fired = 0;
+  sim.timer.schedule(std::chrono::milliseconds(10), [&] {
     ++fired;
     throw std::runtime_error("boom");
   });
+  sim.queue.advance_by(std::chrono::milliseconds(60));
+  EXPECT_EQ(fired, 6);  // re-armed after every throw
+}
+
+TEST(TimerTest, CancelWaitsOutRunningTask) {
+  TimerQueue queue("test");
+  PeriodicTimer timer("test", queue);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+  std::atomic<bool> finished{false};
+  const auto handle = timer.schedule(std::chrono::milliseconds(1), [&] {
+    std::unique_lock lock(mu);
+    entered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+    finished = true;
+  });
+  {
+    std::unique_lock lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return entered; }));
+  }
+  // cancel() from another thread must not return while the task runs.
+  std::atomic<bool> cancel_returned{false};
+  std::atomic<bool> finished_at_return{false};
+  std::thread canceller([&] {
+    timer.cancel(handle);
+    finished_at_return = finished.load();
+    cancel_returned = true;
+  });
+  p2p::testing::settle(std::chrono::milliseconds(50));
+  EXPECT_FALSE(cancel_returned);
+  {
+    const std::lock_guard lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  canceller.join();
+  EXPECT_TRUE(finished_at_return);
+
+  // A task that cancels itself returns at once and never fires again.
+  std::atomic<int> self_fired{0};
+  std::atomic<std::uint64_t> self_handle{0};
+  bool self_cancel_returned = false;
+  self_handle = timer.schedule(std::chrono::milliseconds(20), [&] {
+    ++self_fired;
+    timer.cancel(self_handle.load());
+    const std::lock_guard lock(mu);
+    self_cancel_returned = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return self_cancel_returned; }));
+  }
   p2p::testing::settle(std::chrono::milliseconds(60));
-  timer.stop();
-  EXPECT_GE(fired, 2);
+  EXPECT_EQ(self_fired, 1);
 }
 
 // --- logging ----------------------------------------------------------------
